@@ -2,9 +2,6 @@
 
 use std::time::Duration;
 
-/// Default usable stack per place context in M:N mode (1 MiB, `NORESERVE`).
-pub const DEFAULT_CONTEXT_STACK_SIZE: usize = 1 << 20;
-
 /// How `dist` collections rebuild chunks lost to a place death.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum RedundancyMode {
@@ -21,29 +18,16 @@ pub enum RedundancyMode {
 
 /// Configuration of an APGAS runtime.
 ///
-/// Defaults mirror the paper's launch configuration: one worker thread per
-/// place (`X10_NTHREADS=1`) and 32 places per host (octant).
+/// Defaults mirror the paper's launch configuration: 32 places per host
+/// (octant). Every place runs one worker, as the paper's `X10_NTHREADS=1`
+/// launches do; intra-place schedulers are left as future work there.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Number of places. Execution starts at place 0.
     pub places: usize,
-    /// Worker threads per place. The paper runs all experiments with one
-    /// worker per place and dedicates a core to each; intra-place schedulers
-    /// are explicitly left as future work, but multiple workers are
-    /// supported here.
-    pub workers_per_place: usize,
     /// Places per host; determines host masters for `FINISH_DENSE` routing
     /// and the Power 775 traffic accounting (32 on the paper's machine).
     pub places_per_host: usize,
-    /// How long an idle worker parks before re-polling its mailbox. Small
-    /// values reduce latency, large values reduce CPU burn when places
-    /// heavily outnumber cores (they do in this reproduction).
-    pub park_timeout: Duration,
-    /// Flush threshold for finish-protocol delta coalescing: a place pushes
-    /// its accumulated termination-control deltas to the finish root when
-    /// its local live count reaches zero *or* the buffer covers more than
-    /// this many peer places.
-    pub finish_flush_entries: usize,
     /// Transport aggregation: flush a destination's coalescing buffer once
     /// it holds this many messages (see `x10rt::coalesce`).
     pub batch_max_msgs: usize,
@@ -53,12 +37,6 @@ pub struct Config {
     /// Disable transport aggregation entirely (every message goes out as its
     /// own envelope) — the ablation baseline.
     pub batch_disable: bool,
-    /// Per-(sender, receiver) mailbox ring capacity, in envelopes (rounded
-    /// up to a power of two; see `x10rt::ring`). Bursts past this divert to
-    /// the lane's overflow side-queue — never blocking, never dropping, but
-    /// slower — so size it above the workload's burst length and watch the
-    /// `mailbox.ring_overflow` counter.
-    pub mailbox_ring_capacity: usize,
     /// Disable batch-buffer recycling in the workers' envelope arenas: every
     /// coalescer flush allocates a fresh buffer and every received batch is
     /// freed after dispatch — the allocation-ablation baseline.
@@ -94,11 +72,6 @@ pub struct Config {
     /// plan (chaos testing). `None` — the default — uses the bare transport
     /// with zero added overhead.
     pub fault_plan: Option<x10rt::FaultPlan>,
-    /// How long a worker's coalescer retries transiently-rejected flushes
-    /// (exponential backoff) before giving up with a typed timeout. Only
-    /// reachable when the transport can reject sends, i.e. under a fault
-    /// plan.
-    pub send_timeout: Duration,
     /// Liveness watchdog for `finish`: if termination detection makes no
     /// protocol progress for this long after the body returns, the finish
     /// aborts with [`crate::ApgasError::DeadPlace`] instead of hanging.
@@ -108,8 +81,8 @@ pub struct Config {
     /// Deterministic-schedule mode (simulation testing): workers yield to a
     /// [`crate::step::StepGate`] at the top of every scheduling quantum and
     /// only run when an external schedule controller grants them one — see
-    /// the `sim` crate. Requires `workers_per_place == 1`. Off by default;
-    /// the threaded path then pays exactly one `Option` check per quantum.
+    /// the `sim` crate. Off by default; the threaded path then pays exactly
+    /// one `Option` check per quantum.
     pub deterministic: bool,
     /// How protocol messages are packed into envelopes (see `PROTOCOL.md`).
     /// [`x10rt::CodecMode::Inline`] — the default — ships typed in-process
@@ -124,15 +97,9 @@ pub struct Config {
     /// thread per place. `None` — the default — keeps the classic
     /// thread-per-place mode. With `Some(n)`, place counts decouple from
     /// core counts: a 4,096-place runtime runs in one process on `n`
-    /// threads (see DESIGN.md §"M:N place scheduling"). Requires
-    /// `workers_per_place == 1` and an x86_64 host.
+    /// threads (see DESIGN.md §"M:N place scheduling"). Requires an x86_64
+    /// host.
     pub executor_threads: Option<usize>,
-    /// Usable stack bytes per place context in M:N mode (rounded up to a
-    /// page; a guard page is added below). Stacks are mapped `NORESERVE`,
-    /// so the cost is address space, not resident memory: 4,096 contexts at
-    /// the 1 MiB default reserve 4 GiB but commit only pages actually
-    /// touched. Ignored in thread-per-place mode (threads get 16 MiB).
-    pub context_stack_size: usize,
     /// Enable the resilient-finish recovery machinery for
     /// [`crate::FinishKind::Resilient`] roots: adoption of dead places'
     /// accounting, re-execution of registered command descriptors, and
@@ -157,14 +124,10 @@ impl Config {
     pub fn new(places: usize) -> Self {
         Config {
             places,
-            workers_per_place: 1,
             places_per_host: 32,
-            park_timeout: Duration::from_micros(200),
-            finish_flush_entries: 64,
             batch_max_msgs: x10rt::coalesce::DEFAULT_MAX_MSGS,
             batch_max_bytes: x10rt::coalesce::DEFAULT_MAX_BYTES,
             batch_disable: false,
-            mailbox_ring_capacity: x10rt::ring::DEFAULT_RING_CAPACITY,
             arena_disable: false,
             trace_enable: false,
             trace_buffer_events: obs::trace::DEFAULT_BUFFER_EVENTS,
@@ -172,12 +135,10 @@ impl Config {
             causal_enable: false,
             sample_interval_ms: None,
             fault_plan: None,
-            send_timeout: x10rt::coalesce::DEFAULT_SEND_TIMEOUT,
             finish_watchdog: None,
             deterministic: false,
             codec: x10rt::CodecMode::Inline,
             executor_threads: None,
-            context_stack_size: DEFAULT_CONTEXT_STACK_SIZE,
             resilient_finish: true,
             redundancy_mode: RedundancyMode::Replica,
             host_places: None,
@@ -205,25 +166,10 @@ impl Config {
         self
     }
 
-    /// Set the usable per-context stack size in bytes (builder style). Only
-    /// meaningful together with [`Config::executor_threads`].
-    pub fn context_stack_size(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0);
-        self.context_stack_size = bytes;
-        self
-    }
-
     /// Set places per host (builder style).
     pub fn places_per_host(mut self, b: usize) -> Self {
         assert!(b > 0);
         self.places_per_host = b;
-        self
-    }
-
-    /// Set workers per place (builder style).
-    pub fn workers_per_place(mut self, w: usize) -> Self {
-        assert!(w > 0);
-        self.workers_per_place = w;
         self
     }
 
@@ -244,13 +190,6 @@ impl Config {
     /// Enable or disable transport aggregation (builder style).
     pub fn batch_disable(mut self, disable: bool) -> Self {
         self.batch_disable = disable;
-        self
-    }
-
-    /// Set the per-(sender, receiver) mailbox ring capacity (builder style).
-    pub fn mailbox_ring_capacity(mut self, n: usize) -> Self {
-        assert!(n > 0);
-        self.mailbox_ring_capacity = n;
         self
     }
 
@@ -300,13 +239,6 @@ impl Config {
         self
     }
 
-    /// Set the coalescer retry budget for transiently-rejected sends
-    /// (builder style).
-    pub fn send_timeout(mut self, t: Duration) -> Self {
-        self.send_timeout = t;
-        self
-    }
-
     /// Enable the finish liveness watchdog with the given stall limit
     /// (builder style).
     pub fn finish_watchdog(mut self, limit: Duration) -> Self {
@@ -351,12 +283,10 @@ mod tests {
     fn defaults_match_paper_launch_config() {
         let c = Config::new(64);
         assert_eq!(c.places, 64);
-        assert_eq!(c.workers_per_place, 1);
         assert_eq!(c.places_per_host, 32);
         assert!(!c.batch_disable);
         assert_eq!(c.batch_max_msgs, 64);
         assert_eq!(c.batch_max_bytes, 16 * 1024);
-        assert_eq!(c.mailbox_ring_capacity, 256);
         assert!(!c.arena_disable, "arena recycling is on by default");
         assert!(!c.trace_enable, "tracing is opt-in");
         assert!(!c.obs_disable, "metrics are on by default");
@@ -364,7 +294,6 @@ mod tests {
         assert!(!c.causal_enable, "causal tracing is opt-in");
         assert!(c.sample_interval_ms.is_none(), "metrics sampling is opt-in");
         assert!(c.fault_plan.is_none(), "fault injection is opt-in");
-        assert_eq!(c.send_timeout, Duration::from_millis(5));
         assert!(c.finish_watchdog.is_none(), "watchdog is opt-in");
         assert!(!c.deterministic, "deterministic stepping is opt-in");
         assert_eq!(
@@ -386,16 +315,12 @@ mod tests {
             c.executor_threads.is_none(),
             "thread-per-place (a core per place, as on the p775) by default"
         );
-        assert_eq!(c.context_stack_size, 1 << 20);
     }
 
     #[test]
     fn mplex_builders() {
-        let c = Config::new(1024)
-            .executor_threads(4)
-            .context_stack_size(256 * 1024);
+        let c = Config::new(1024).executor_threads(4);
         assert_eq!(c.executor_threads, Some(4));
-        assert_eq!(c.context_stack_size, 256 * 1024);
     }
 
     #[test]
@@ -421,9 +346,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let c = Config::new(8).places_per_host(4).workers_per_place(2);
+        let c = Config::new(8).places_per_host(4);
         assert_eq!(c.places_per_host, 4);
-        assert_eq!(c.workers_per_place, 2);
     }
 
     #[test]
@@ -439,8 +363,7 @@ mod tests {
 
     #[test]
     fn transport_builders() {
-        let c = Config::new(4).mailbox_ring_capacity(32).arena_disable(true);
-        assert_eq!(c.mailbox_ring_capacity, 32);
+        let c = Config::new(4).arena_disable(true);
         assert!(c.arena_disable);
     }
 
@@ -448,10 +371,8 @@ mod tests {
     fn fault_builders() {
         let c = Config::new(4)
             .fault_plan(x10rt::FaultPlan::new(7).kill_place(x10rt::PlaceId(2), 100))
-            .send_timeout(Duration::from_millis(50))
             .finish_watchdog(Duration::from_secs(2));
         assert_eq!(c.fault_plan.as_ref().unwrap().seed, 7);
-        assert_eq!(c.send_timeout, Duration::from_millis(50));
         assert_eq!(c.finish_watchdog, Some(Duration::from_secs(2)));
     }
 

@@ -34,6 +34,11 @@ use std::sync::Arc;
 /// pocket-sized stack.
 pub(crate) const MIN_STACK: usize = 64 * 1024;
 
+/// Usable stack per place context in M:N mode (1 MiB). Stacks are mapped
+/// `NORESERVE`, so the cost is address space, not resident memory: 4,096
+/// contexts reserve 4 GiB but commit only the pages actually touched.
+pub(crate) const CONTEXT_STACK_SIZE: usize = 1 << 20;
+
 const PAGE: usize = 4096;
 
 #[cfg(target_arch = "x86_64")]

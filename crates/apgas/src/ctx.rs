@@ -18,6 +18,12 @@ use std::sync::Arc;
 use x10rt::HandlerId;
 use x10rt::{CongruentArray, MsgClass, NetStats, PlaceId, Pod, SegmentTable, Topology};
 
+/// Flush threshold for finish-protocol delta coalescing: a place pushes its
+/// accumulated termination-control deltas to the finish root when its local
+/// live count reaches zero *or* the buffer covers more than this many peer
+/// places.
+const FINISH_FLUSH_ENTRIES: usize = 64;
+
 struct Scope {
     fin: FinishRef,
     root: Arc<RootState>,
@@ -310,7 +316,6 @@ impl<'w> Ctx<'w> {
 
     fn spawn_via_proxy(&self, fin: FinishRef, target: PlaceId, body: SpawnBody, class: MsgClass) {
         let here = self.here();
-        let flush_bound = self.worker.g.cfg.finish_flush_entries;
         if target == here {
             self.worker.with_proxy(fin, |p| {
                 p.on_local_spawn();
@@ -349,7 +354,7 @@ impl<'w> Ctx<'w> {
             }
             self.worker.with_proxy(fin, |p| {
                 p.on_remote_spawn(target.0);
-                p.maybe_flush_threshold(flush_bound)
+                p.maybe_flush_threshold(FINISH_FLUSH_ENTRIES)
             });
             self.worker.send_spawn(
                 target,

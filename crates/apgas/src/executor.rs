@@ -17,11 +17,12 @@
 //! cannot be lost; `notify_all` under the idle lock closes the window where
 //! the executor holds the lock but has not started waiting yet.
 //!
-//! Idle executors wake on their own every `resweep` (the configured
-//! `park_timeout`) and mark *every* unfinished context runnable. That
-//! re-poll is what keeps time-based machinery alive — the finish watchdog,
-//! GLB steal timeouts, and coalescer retry backoff all assume a parked
-//! worker re-checks its condition on the park-timeout cadence.
+//! Idle executors wake on their own every `resweep` (the workers'
+//! `PARK_TIMEOUT` in the runtime) and mark *every* unfinished context
+//! runnable. That re-poll is what keeps time-based machinery alive — the
+//! finish watchdog, GLB steal timeouts, and coalescer retry backoff all
+//! assume a parked worker re-checks its condition on the park-timeout
+//! cadence.
 
 use crate::context::PlaceContext;
 use parking_lot::{Condvar, Mutex};

@@ -200,20 +200,6 @@ impl Runtime {
     fn build(cfg: Config, external: Option<Arc<dyn Transport>>) -> Self {
         assert!(cfg.places > 0, "need at least one place");
         assert!(cfg.places <= u32::MAX as usize, "place ids are 32-bit");
-        if cfg.deterministic {
-            assert_eq!(
-                cfg.workers_per_place, 1,
-                "deterministic mode grants quanta per place, so it requires \
-                 exactly one worker per place"
-            );
-        }
-        if cfg.executor_threads.is_some() {
-            assert_eq!(
-                cfg.workers_per_place, 1,
-                "M:N scheduling runs each place as one context, so it \
-                 requires exactly one worker per place"
-            );
-        }
         let topo = Topology::new(cfg.places, cfg.places_per_host);
         let obs = if cfg.obs_disable {
             None
@@ -242,8 +228,7 @@ impl Runtime {
         let base: Arc<dyn Transport> = match external {
             Some(t) => t,
             None => {
-                let mut lt =
-                    LocalTransport::with_ring_capacity(cfg.places, cfg.mailbox_ring_capacity);
+                let mut lt = LocalTransport::new(cfg.places);
                 if let Some(o) = &obs {
                     lt = lt.with_obs(&o.metrics);
                 }
@@ -310,7 +295,7 @@ impl Runtime {
                     let g2 = g.clone();
                     let place = g.places[i].clone();
                     crate::context::PlaceContext::new(
-                        g.cfg.context_stack_size,
+                        crate::context::CONTEXT_STACK_SIZE,
                         Box::new(move || Worker::new(g2, place).main_loop()),
                     )
                 })
@@ -318,7 +303,7 @@ impl Runtime {
             let pool = Arc::new(crate::executor::ExecutorPool::new(
                 contexts,
                 threads,
-                g.cfg.park_timeout,
+                crate::worker::PARK_TIMEOUT,
             ));
             // Route every hosted place's wake to the pool *before* any
             // executor runs: enqueues, deliveries and shutdown all funnel
@@ -352,21 +337,19 @@ impl Runtime {
             }
         } else {
             for i in host_start..host_start + host_count {
-                for w in 0..g.cfg.workers_per_place {
-                    let g2 = g.clone();
-                    let place = g.places[i].clone();
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("place-{i}.{w}"))
-                            // Help-first waiting nests activity frames on the
-                            // worker stack; give it room.
-                            .stack_size(16 * 1024 * 1024)
-                            .spawn(move || {
-                                Worker::new(g2, place).main_loop();
-                            })
-                            .expect("spawn worker thread"),
-                    );
-                }
+                let g2 = g.clone();
+                let place = g.places[i].clone();
+                handles.push(
+                    std::thread::Builder::new()
+                        .name(format!("place-{i}"))
+                        // Help-first waiting nests activity frames on the
+                        // worker stack; give it room.
+                        .stack_size(16 * 1024 * 1024)
+                        .spawn(move || {
+                            Worker::new(g2, place).main_loop();
+                        })
+                        .expect("spawn worker thread"),
+                );
             }
         }
         Runtime {
@@ -813,7 +796,7 @@ impl Runtime {
 
     /// Does `place` host a resilient finish root that has not yet adopted
     /// every dead place? Adoption runs in the waiting worker's quantum (the
-    /// resilient wait re-polls [`Worker::resilient_recover`] each
+    /// resilient wait re-polls `Worker::resilient_recover` each
     /// condition check), so a schedule controller must treat pending
     /// recovery as runnable work — it is invisible to [`Runtime::place_has_work`]
     /// because no queue or mailbox entry exists for it. Always `false` with

@@ -31,6 +31,7 @@ use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Duration;
 use x10rt::codec::{self, HandlerId, WireMsg};
 use x10rt::{Coalescer, CodecMode, Envelope, MsgClass, PlaceId};
 
@@ -157,6 +158,12 @@ struct WorkerHooks {
 /// trip per burst, which dominates on oversubscribed hosts.
 const PARK_SPIN_YIELDS: u32 = 8;
 
+/// How long an idle worker parks before re-polling its mailbox (and the M:N
+/// executors' resweep period). The re-poll keeps time-based machinery live —
+/// the finish watchdog, GLB steal timeouts and coalescer retry backoff all
+/// assume a parked worker re-checks on this cadence.
+pub(crate) const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+
 /// Convert a panic payload into a printable message. Typed runtime errors
 /// stringify through their `Display`, which embeds the dead-place marker so
 /// [`crate::ApgasError::from_panic`] can recover them after a place hop.
@@ -187,7 +194,6 @@ impl Worker {
         if let Some(o) = g.obs.as_ref() {
             coalescer = coalescer.with_obs(&o.metrics);
         }
-        coalescer = coalescer.with_send_timeout(g.cfg.send_timeout);
         if g.cfg.arena_disable {
             coalescer = coalescer.with_arena_disabled();
         }
@@ -580,9 +586,7 @@ impl Worker {
                 h.parks.inc(self.here.0);
                 h.trace.instant("worker", "park", 0);
             }
-            self.place
-                .wake_cv
-                .wait_for(&mut guard, self.g.cfg.park_timeout);
+            self.place.wake_cv.wait_for(&mut guard, PARK_TIMEOUT);
         }
         self.place.sleepers.fetch_sub(1, Ordering::SeqCst);
     }

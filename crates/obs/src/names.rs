@@ -52,17 +52,16 @@ pub const MAILBOX_DRAIN_BOUNDS: &[u64] = &[1, 2, 4, 8, 16, 32, 64, 128, 256];
 /// Counter: sends diverted to a mailbox lane's overflow side-queue because
 /// the SPSC ring was full or still draining a previous overflow (unit:
 /// envelopes; sharded by sender). Incremented in `x10rt`'s
-/// `LocalTransport`. A workload living in overflow needs a larger
-/// `mailbox_ring_capacity`.
+/// `LocalTransport`. A workload living in overflow needs a larger ring
+/// (`LocalTransport::with_ring_capacity`, passed to the runtime through
+/// `Runtime::with_transport`).
 pub const MAILBOX_RING_OVERFLOW: &str = "mailbox.ring_overflow";
 
 /// Counter: mailbox lanes materialized — (sender, receiver) SPSC channels
-/// actually backed by storage (unit: lanes; sharded by sender). In dense
-/// mode (small place counts) the full `places²` matrix is counted at
-/// construction; in sparse mode a lane is counted when a sender's first
-/// message to a receiver creates it. At 4,096 places a dense matrix would
-/// be 16.7M lane headers — this counter is how you see that the sparse
-/// path only paid for the pairs that actually talked.
+/// actually backed by storage (unit: lanes; sharded by sender). A lane is
+/// counted when a sender's first message to a receiver creates it, at every
+/// place count. At 4,096 places an all-pairs matrix would be 16.7M lanes —
+/// this counter shows that only the pairs that actually talked paid.
 pub const MAILBOX_LANES_ALLOCATED: &str = "mailbox.lanes_allocated";
 
 /// Counter: coalescer flushes served a recycled batch buffer from the

@@ -310,10 +310,6 @@ impl Transport for SimTransport {
         Ok(())
     }
 
-    fn try_recv(&self, place: PlaceId) -> Option<Envelope> {
-        self.mailboxes[place.index()].lock().pop_front()
-    }
-
     fn try_recv_batch(&self, place: PlaceId, max: usize, out: &mut Vec<Envelope>) -> usize {
         let mut q = self.mailboxes[place.index()].lock();
         let n = max.min(q.len());
@@ -384,6 +380,7 @@ pub fn pick(rng: &mut SplitMix64, n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use x10rt::recv_one;
 
     fn env(from: u32, to: u32, class: MsgClass, tag: u64) -> Envelope {
         Envelope::new(PlaceId(from), PlaceId(to), class, 8, Box::new(tag))
@@ -395,13 +392,13 @@ mod tests {
         t.send(env(0, 2, MsgClass::Task, 7)).unwrap();
         // Not visible at the destination yet.
         assert_eq!(t.queue_len(PlaceId(2)), 0);
-        assert!(t.try_recv(PlaceId(2)).is_none());
+        assert!(recv_one(&t, PlaceId(2)).is_none());
         assert_eq!(t.in_flight(), 1);
         // The controller delivers it.
         let chans = t.deliverable();
         assert_eq!(chans, vec![(0, 2, MsgClass::Task.index())]);
         assert!(t.deliver(chans[0]));
-        let got = t.try_recv(PlaceId(2)).expect("delivered");
+        let got = recv_one(&t, PlaceId(2)).expect("delivered");
         assert_eq!(*got.payload.downcast::<u64>().unwrap(), 7);
         assert!(t.ledger().balanced());
     }
@@ -421,7 +418,7 @@ mod tests {
             assert!(t.deliver(k));
         }
         let (mut tasks, mut ctls) = (Vec::new(), Vec::new());
-        while let Some(e) = t.try_recv(PlaceId(1)) {
+        while let Some(e) = recv_one(&t, PlaceId(1)) {
             let v = *e.payload.downcast::<u64>().unwrap();
             if v < 100 {
                 tasks.push(v);
@@ -467,7 +464,7 @@ mod tests {
             t.deliver(k);
         }
         let mut got = Vec::new();
-        while let Some(e) = t.try_recv(PlaceId(1)) {
+        while let Some(e) = recv_one(&t, PlaceId(1)) {
             got.push(*e.payload.downcast::<u64>().unwrap());
         }
         got.sort_unstable();
@@ -482,7 +479,7 @@ mod tests {
         t.deliver((0, 1, MsgClass::Task.index())); // one reaches the mailbox
         t.kill_place(PlaceId(1));
         assert!(t.is_dead(PlaceId(1)));
-        assert!(t.try_recv(PlaceId(1)).is_none());
+        assert!(recv_one(&t, PlaceId(1)).is_none());
         let err = t.send(env(0, 1, MsgClass::Task, 2)).unwrap_err();
         assert_eq!(err.dropped, 1);
         let l = t.ledger();
@@ -521,7 +518,7 @@ mod tests {
         assert_eq!(t.residual(MsgClass::FinishCtl), 2);
         t.deliver((0, 1, MsgClass::FinishCtl.index()));
         assert_eq!(t.residual(MsgClass::FinishCtl), 2); // one in-flight, one mailboxed
-        t.try_recv(PlaceId(1));
+        recv_one(&t, PlaceId(1));
         assert_eq!(t.residual(MsgClass::FinishCtl), 1);
     }
 }

@@ -471,7 +471,7 @@ fn send_with_retry(
 mod tests {
     use super::*;
     use crate::message::{MsgClass, HEADER_BYTES};
-    use crate::transport::LocalTransport;
+    use crate::transport::{recv_one, LocalTransport};
 
     fn env(to: u32, tag: u64) -> Envelope {
         Envelope::new(PlaceId(0), PlaceId(to), MsgClass::Task, 8, Box::new(tag))
@@ -480,7 +480,7 @@ mod tests {
     /// Drain place `p`, unpacking batches, returning tags in arrival order.
     fn drain_tags(t: &LocalTransport, p: u32) -> Vec<u64> {
         let mut tags = Vec::new();
-        while let Some(e) = t.try_recv(PlaceId(p)) {
+        while let Some(e) = recv_one(t, PlaceId(p)) {
             match e.unbatch() {
                 Ok(inner) => {
                     for e in inner {
@@ -552,7 +552,7 @@ mod tests {
         let mut c = Coalescer::new(PlaceId(0), 2, 64, 1 << 20, true);
         c.send(&t, env(1, 7)).unwrap();
         c.flush(&t).unwrap();
-        let got = t.try_recv(PlaceId(1)).unwrap();
+        let got = recv_one(&t, PlaceId(1)).unwrap();
         assert_eq!(got.class, MsgClass::Task); // not wrapped in a batch
         assert_eq!(t.stats().total_messages(), 1);
         assert_eq!(t.stats().total_envelopes(), 1);
@@ -711,7 +711,7 @@ mod tests {
             "p=0.7 over the flushes should reject at least once"
         );
         let mut tags = Vec::new();
-        while let Some(e) = t.try_recv(PlaceId(1)) {
+        while let Some(e) = recv_one(&t, PlaceId(1)) {
             match e.unbatch() {
                 Ok(inner) => {
                     for e in inner {

@@ -283,11 +283,11 @@ struct FaultHooks {
 }
 
 /// Payload of an injected marker envelope. Marker envelopes transit the
-/// inner transport (so the wire ledgers charge them) and are filtered out at
-/// [`FaultTransport::try_recv`] before any protocol sees them. `pub(crate)`
-/// so the TCP back-end can serialize markers across its socket (handler id
-/// `H_MARKER` in `PROTOCOL.md`) — receive-edge filtering stays observable
-/// when the inner transport is a real wire.
+/// inner transport (so the wire ledgers charge them) and are filtered out
+/// at [`FaultTransport::try_recv_batch`] before any protocol sees them.
+/// `pub(crate)` so the TCP back-end can serialize markers across its
+/// socket (handler id `H_MARKER` in `PROTOCOL.md`) — receive-edge filtering
+/// stays observable when the inner transport is a real wire.
 pub(crate) enum FaultMarker {
     /// A phantom duplicate (receiver-side dedup removes it).
     Duplicate,
@@ -654,23 +654,6 @@ impl Transport for FaultTransport {
         Ok(())
     }
 
-    fn try_recv(&self, place: PlaceId) -> Option<Envelope> {
-        let now = self.tick();
-        self.apply_events(now);
-        self.pump(now);
-        if self.dead[place.index()].load(Ordering::Acquire) {
-            return None;
-        }
-        loop {
-            let env = self.inner.try_recv(place)?;
-            if env.payload.downcast_ref::<FaultMarker>().is_some() {
-                self.tallies.filtered.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            return Some(env);
-        }
-    }
-
     fn try_recv_batch(&self, place: PlaceId, max: usize, out: &mut Vec<Envelope>) -> usize {
         let now = self.tick();
         self.apply_events(now);
@@ -730,7 +713,7 @@ impl Transport for FaultTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::LocalTransport;
+    use crate::transport::{recv_one, LocalTransport};
 
     fn env(from: u32, to: u32, tag: u64) -> Envelope {
         Envelope::new(PlaceId(from), PlaceId(to), MsgClass::Task, 8, Box::new(tag))
@@ -745,7 +728,7 @@ mod tests {
     fn drain(t: &FaultTransport, p: u32, want: usize, budget: usize) -> Vec<u64> {
         let mut tags = Vec::new();
         for _ in 0..budget {
-            if let Some(e) = t.try_recv(PlaceId(p)) {
+            if let Some(e) = recv_one(t, PlaceId(p)) {
                 tags.push(*e.payload.downcast::<u64>().unwrap());
                 if tags.len() == want {
                     break;
@@ -899,7 +882,7 @@ mod tests {
         assert!(t.is_dead(PlaceId(1)));
         assert_eq!(t.fault_counts().killed, 1);
         // The mailbox black-holed its backlog.
-        assert!(t.try_recv(PlaceId(1)).is_none());
+        assert!(recv_one(&t, PlaceId(1)).is_none());
         assert_eq!(t.queue_len(PlaceId(1)), 0);
         // Other places keep working.
         t.send(env(0, 2, 99)).unwrap();

@@ -1,28 +1,24 @@
 //! Bounded lock-free SPSC rings — the mailbox fast path.
 //!
 //! [`SpscRing`] is a Lamport single-producer/single-consumer ring over a
-//! power-of-two slot array, with the two classic refinements that make it
-//! cheap at message-storm rates:
-//!
-//! * **Cached opposite indices.** The producer keeps a relaxed snapshot of
-//!   the consumer's `head` and only re-reads the shared index when the
-//!   snapshot says the ring *might* be full (and symmetrically for the
-//!   consumer's snapshot of `tail`). In steady state a push is one relaxed
-//!   load, one slot write and one release store — no read-modify-write, no
-//!   shared-line ping-pong beyond the slot itself.
-//! * **Lazy slot allocation.** The slot array is allocated on first push
-//!   (via [`std::sync::OnceLock`]), so an all-pairs lane matrix over `P`
-//!   places costs `O(P²)` small headers but only `O(active pairs)` buffers.
+//! power-of-two slot array, allocated up front, with the classic refinement
+//! that makes it cheap at message-storm rates: **cached opposite indices.**
+//! The producer keeps a relaxed snapshot of the consumer's `head` and only
+//! re-reads the shared index when the snapshot says the ring *might* be full
+//! (and symmetrically for the consumer's snapshot of `tail`). In steady
+//! state a push is one relaxed load, one slot write and one release store —
+//! no read-modify-write, no shared-line ping-pong beyond the slot itself.
 //!
 //! # Multi-producer reality
 //!
 //! The transport guarantees FIFO per (sender *place*, destination) pair, but
-//! a place may run several worker threads (`workers_per_place > 1`) and
-//! tests hammer one pair from many threads. Rather than push that burden to
-//! every caller, each side of the ring carries a tiny spin guard (an
-//! `AtomicBool` CAS — *not* a mutex: no syscall, no parking, no priority
-//! inheritance machinery). Uncontended — the overwhelmingly common case,
-//! one worker per place — the guard costs one uncontended CAS; contended
+//! code outside a place's worker (the fault decorator releasing held
+//! traffic, tests hammering one pair from many threads) can send as that
+//! place too. Rather than push that
+//! burden to every caller, each side of the ring carries a tiny spin guard
+//! (an `AtomicBool` CAS — *not* a mutex: no syscall, no parking, no
+//! priority inheritance machinery). Uncontended — the overwhelmingly common
+//! case, one worker per place — the guard costs one uncontended CAS; contended
 //! producers spin, which preserves each thread's program order instead of
 //! reordering its messages around a detour. The guards make the safe API
 //! genuinely safe while keeping the SPSC fast path intact.
@@ -39,7 +35,6 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Default per-(sender, receiver) ring capacity, in envelopes. Power of two.
 /// Sized so a full coalescer quantum (64-message batches, 256-envelope
@@ -82,8 +77,8 @@ struct ConsSide {
 pub struct SpscRing<T> {
     prod: ProdSide,
     cons: ConsSide,
-    /// Slot array, allocated on first push.
-    slots: OnceLock<Box<[Slot<T>]>>,
+    /// Slot array (`capacity` slots).
+    slots: Box<[Slot<T>]>,
     /// Capacity (power of two); `mask == capacity - 1`.
     mask: usize,
 }
@@ -119,7 +114,7 @@ impl Drop for SpinToken<'_> {
 
 impl<T> SpscRing<T> {
     /// A ring holding up to `capacity` items (rounded up to a power of two,
-    /// minimum 2). The slot array is not allocated until the first push.
+    /// minimum 2).
     pub fn new(capacity: usize) -> Self {
         let cap = capacity.next_power_of_two().max(2);
         SpscRing {
@@ -133,7 +128,9 @@ impl<T> SpscRing<T> {
                 cached_tail: AtomicUsize::new(0),
                 guard: AtomicBool::new(false),
             },
-            slots: OnceLock::new(),
+            slots: (0..cap)
+                .map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit())))
+                .collect(),
             mask: cap - 1,
         }
     }
@@ -158,15 +155,6 @@ impl<T> SpscRing<T> {
         self.len() == 0
     }
 
-    #[inline]
-    fn slots(&self) -> &[Slot<T>] {
-        self.slots.get_or_init(|| {
-            (0..self.mask + 1)
-                .map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit())))
-                .collect()
-        })
-    }
-
     /// Push one item. `Err(value)` means the ring is full — the caller
     /// routes the item to its overflow path; nothing blocks, nothing drops.
     #[inline]
@@ -181,7 +169,7 @@ impl<T> SpscRing<T> {
                 return Err(value);
             }
         }
-        let slot = &self.slots()[tail & self.mask];
+        let slot = &self.slots[tail & self.mask];
         // SAFETY: `tail - head < capacity`, so this slot is not live; the
         // producer guard serializes writers; the consumer will only read it
         // after the Release store below.
@@ -237,8 +225,7 @@ impl<T> SpscRing<T> {
                 return None;
             }
         }
-        let slots = self.slots.get()?; // never pushed → empty
-        let slot = &slots[head & self.mask];
+        let slot = &self.slots[head & self.mask];
         // SAFETY: `head < tail`, so the slot was written and published by
         // the producer's Release store, which our Acquire load of `tail`
         // synchronized with; advancing `head` below releases it back.

@@ -774,10 +774,6 @@ impl Transport for TcpTransport {
         Ok(())
     }
 
-    fn try_recv(&self, place: PlaceId) -> Option<Envelope> {
-        self.core.inner.try_recv(place)
-    }
-
     fn try_recv_batch(&self, place: PlaceId, max: usize, out: &mut Vec<Envelope>) -> usize {
         self.core.inner.try_recv_batch(place, max, out)
     }
@@ -834,6 +830,7 @@ impl Drop for TcpTransport {
 mod tests {
     use super::*;
     use crate::message::{MsgClass, HEADER_BYTES};
+    use crate::transport::recv_one;
 
     fn wire_env(from: u32, to: u32, handler: u32, args: Vec<u8>) -> Envelope {
         Envelope::new(
@@ -848,7 +845,7 @@ mod tests {
     fn recv_blocking(t: &TcpTransport, place: PlaceId) -> Envelope {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
-            if let Some(e) = t.try_recv(place) {
+            if let Some(e) = recv_one(t, place) {
                 return e;
             }
             assert!(Instant::now() < deadline, "no delivery within 10s");

@@ -6,7 +6,7 @@
 //! clocks, load balancing) on top of that primitive — which is why this crate
 //! is deliberately tiny.
 //!
-//! # Lane matrix
+//! # Lanes
 //!
 //! [`LocalTransport`] realizes the API with one *lane* per (sender,
 //! destination) pair: a bounded lock-free SPSC ring (see [`crate::ring`])
@@ -18,19 +18,16 @@
 //! protocols rely on; see `apgas::finish::default_proto`). No ordering holds
 //! *across* lanes — a real network reorders freely across routes.
 //!
-//! # Dense vs. sparse lane storage
+//! # Lane storage
 //!
-//! Up to [`DENSE_LANES_MAX`] places the lanes live in a dense row-major
-//! `places × places` array — zero indirection on the hot paths. Above it the
-//! quadratic header cost becomes real money (at 4,096 places a dense matrix
-//! is 16.7M lane headers, gigabytes before a single message flows), so the
-//! transport switches to one *sparse row* per receiver: lanes materialize on
-//! a sender's first message, held in an append-only vector guarded by an
-//! `RwLock` (reads on every send/sweep, a write only on first contact).
-//! Append-only matters: lane positions are stable, so the receiver's
-//! round-robin cursor survives concurrent lane creation. Real communication
-//! graphs at scale are sparse — finish protocols talk to a home place, GLB
-//! to O(log P) lifelines — so the populated rows stay short. The
+//! Lanes live in one row per *receiver*: a sender's lane materializes on
+//! its first message to that receiver, held in an append-only vector
+//! guarded by an `RwLock` (reads on every send/sweep, a write only on first
+//! contact). Append-only matters: lane positions are stable, so the
+//! receiver's round-robin cursor survives concurrent lane creation. Storage
+//! is therefore `O(communicating pairs)`, never `O(places²)` — real
+//! communication graphs at scale are sparse (finish protocols talk to a home
+//! place, GLB to O(log P) lifelines), so the rows stay short. The
 //! `mailbox.lanes_allocated` metric ([`LocalTransport::lanes_allocated`])
 //! reports how many pairs actually paid for storage.
 //!
@@ -45,8 +42,8 @@
 //! always older than overflow items, so the receiver drains ring-then-
 //! overflow. Overflow engagements are counted (`NetStats::
 //! total_ring_overflows`, the `mailbox.ring_overflow` metric); a workload
-//! that lives in overflow mode needs a bigger `mailbox_ring_capacity`, not a
-//! faster mutex.
+//! that lives in overflow mode needs a bigger ring
+//! ([`LocalTransport::with_ring_capacity`]), not a faster mutex.
 //!
 //! # Waker debouncing
 //!
@@ -231,25 +228,11 @@ pub trait Transport: Send + Sync {
         }
     }
 
-    /// Poll for the next message addressed to `place`. Non-blocking.
-    fn try_recv(&self, place: PlaceId) -> Option<Envelope>;
-
     /// Drain up to `max` messages addressed to `place` into `out`,
-    /// returning how many were appended. Non-blocking. The default loops
-    /// [`Transport::try_recv`]; back-ends override it to drain in bulk.
-    fn try_recv_batch(&self, place: PlaceId, max: usize, out: &mut Vec<Envelope>) -> usize {
-        let mut n = 0;
-        while n < max {
-            match self.try_recv(place) {
-                Some(env) => {
-                    out.push(env);
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        n
-    }
+    /// returning how many were appended. Non-blocking. This is the one
+    /// receive primitive: the scheduler's pump drains in bulk, and
+    /// [`recv_one`] is the single-message form for tests and diagnostics.
+    fn try_recv_batch(&self, place: PlaceId, max: usize, out: &mut Vec<Envelope>) -> usize;
 
     /// Register a waker invoked when a message is enqueued for `place`.
     /// Implementations may debounce: a burst of sends while the place has
@@ -280,6 +263,23 @@ pub trait Transport: Send + Sync {
     /// All places killed so far, ascending.
     fn dead_places(&self) -> Vec<PlaceId> {
         Vec::new()
+    }
+}
+
+/// Receive the next message addressed to `place`, if any:
+/// [`Transport::try_recv_batch`] with a budget of one. A back-end that
+/// filters what it drains (the fault decorator discards its phantom
+/// markers) can return nothing while traffic is still queued, so this
+/// retries until the mailbox reports empty.
+pub fn recv_one<T: Transport + ?Sized>(t: &T, place: PlaceId) -> Option<Envelope> {
+    let mut out = Vec::with_capacity(1);
+    loop {
+        if t.try_recv_batch(place, 1, &mut out) == 1 {
+            return out.pop();
+        }
+        if t.queue_len(place) == 0 {
+            return None;
+        }
     }
 }
 
@@ -316,40 +316,21 @@ impl Lane {
     }
 }
 
-/// Largest place count served by the dense `places × places` lane array.
-/// Above it, lane storage switches to per-receiver sparse rows (see the
-/// module docs): `128² = 16,384` headers is the most the dense layout is
-/// allowed to cost up front.
-pub const DENSE_LANES_MAX: usize = 128;
-
-/// Lane storage: dense matrix for small worlds, lazily-populated sparse
-/// rows for big ones.
-enum Lanes {
-    /// Row-major by sender: lane `(s, r)` lives at `s * places + r`.
-    Dense(Box<[Lane]>),
-    /// One row per *receiver*; a sender's lane materializes on its first
-    /// message to that receiver.
-    Sparse(Box<[SparseRow]>),
-}
-
-/// A receiver's lazily-populated incoming lanes.
+/// A receiver's incoming lanes, one per sender that has ever sent to it.
 ///
-/// The lock is read-held on every send and sweep and write-held only to
-/// append a new sender's lane — first contact per pair, once ever. Lane
-/// operations themselves (ring push/pop, overflow mutex) happen under the
-/// *read* guard, so senders and the receiver proceed concurrently; only a
-/// first-contact insert briefly excludes them.
-struct SparseRow {
-    inner: RwLock<SparseLanes>,
-}
-
+/// Held under an `RwLock` in [`LocalTransport::rows`]: read-held on every
+/// send and sweep, write-held only to append a new sender's lane — first
+/// contact per pair, once ever. Lane operations themselves (ring push/pop,
+/// overflow mutex) happen under the *read* guard, so senders and the
+/// receiver proceed concurrently; only a first-contact insert briefly
+/// excludes them.
 #[derive(Default)]
-struct SparseLanes {
+struct Row {
     /// Sender place id → position in `lanes`.
     by_sender: HashMap<u32, usize>,
     /// Append-only — positions are stable, so the receiver's round-robin
     /// cursor (an index into this vector) survives concurrent growth.
-    lanes: Vec<(u32, Arc<Lane>)>,
+    lanes: Vec<Arc<Lane>>,
 }
 
 /// Per-destination receive state, cache-line isolated from its neighbours.
@@ -358,34 +339,32 @@ struct RecvState {
     /// Waker debounce: true while the place has been notified of pending
     /// traffic and has not yet drained to empty.
     notified: AtomicBool,
-    /// Set when the place is killed: the lanes are purged, receive paths
-    /// return nothing, and sends fail with [`TransportError::PlaceDead`].
+    /// Set when the place is killed: the lanes are purged, the receive path
+    /// returns nothing, and sends fail with [`TransportError::PlaceDead`].
     closed: AtomicBool,
     /// Consumer spin guard: serializes sweeps (and the kill-time purge) so
-    /// the lane matrix sees one consumer per destination.
+    /// each lane sees one consumer per destination.
     sweep_guard: AtomicBool,
-    /// Round-robin sweep position (which sender lane to take next);
+    /// Round-robin sweep position (which row position to take next);
     /// accessed under `sweep_guard`.
     cursor: AtomicUsize,
 }
 
-/// In-process transport: a lock-free SPSC ring lane per (sender, receiver)
-/// pair, with overflow side-queues, debounced wakers and bulk sweep drain.
+/// In-process transport: a lock-free SPSC ring lane per communicating
+/// (sender, receiver) pair, with overflow side-queues, debounced wakers and
+/// bulk sweep drain.
 pub struct LocalTransport {
     places: usize,
     ring_capacity: usize,
-    /// Dense matrix at ≤ [`DENSE_LANES_MAX`] places, sparse per-receiver
-    /// rows above (see the module docs).
-    lanes: Lanes,
+    /// One row of incoming lanes per receiver (see the module docs).
+    rows: Box<[RwLock<Row>]>,
     recv: Box<[RecvState]>,
     wakers: RwLock<Vec<Option<Waker>>>,
     stats: NetStats,
     /// Observability mirror of the ring-overflow counter (sharded by
     /// sender), resolved once at construction.
     overflow_obs: Option<Counter>,
-    /// Lanes actually backed by storage. Dense mode records the whole
-    /// matrix at construction; sparse mode counts each first-contact
-    /// materialization.
+    /// Lanes created so far: one per pair that has communicated.
     lanes_allocated: AtomicUsize,
     /// Observability mirror of `lanes_allocated` (sharded by sender).
     lanes_obs: Option<Counter>,
@@ -399,29 +378,9 @@ impl LocalTransport {
     }
 
     /// A transport with an explicit per-lane ring capacity (rounded up to a
-    /// power of two). Ring buffers are allocated lazily per active lane, so
-    /// the `places²` matrix costs headers, not buffers, for idle pairs.
+    /// power of two).
     pub fn with_ring_capacity(places: usize, ring_capacity: usize) -> Self {
         assert!(places > 0);
-        let lanes = if places <= DENSE_LANES_MAX {
-            Lanes::Dense(
-                (0..places * places)
-                    .map(|_| Lane::new(ring_capacity))
-                    .collect(),
-            )
-        } else {
-            Lanes::Sparse(
-                (0..places)
-                    .map(|_| SparseRow {
-                        inner: RwLock::new(SparseLanes::default()),
-                    })
-                    .collect(),
-            )
-        };
-        let lanes_allocated = AtomicUsize::new(match &lanes {
-            Lanes::Dense(l) => l.len(),
-            Lanes::Sparse(_) => 0,
-        });
         let recv = (0..places)
             .map(|_| RecvState {
                 notified: AtomicBool::new(false),
@@ -433,29 +392,23 @@ impl LocalTransport {
         LocalTransport {
             places,
             ring_capacity: ring_capacity.next_power_of_two().max(2),
-            lanes,
+            rows: (0..places).map(|_| RwLock::default()).collect(),
             recv,
             wakers: RwLock::new(vec![None; places]),
             stats: NetStats::new(places),
             overflow_obs: None,
-            lanes_allocated,
+            lanes_allocated: AtomicUsize::new(0),
             lanes_obs: None,
         }
     }
 
-    /// Mirror ring-overflow engagements and lane materializations into the
-    /// shared metrics registry (builder style): resolves the counters once
-    /// so the hot paths stay one relaxed increment.
+    /// Mirror ring-overflow engagements and lane creations into the shared
+    /// metrics registry (builder style): resolves the counters once so the
+    /// hot paths stay one relaxed increment. Call it before any traffic
+    /// flows; earlier events are not mirrored.
     pub fn with_obs(mut self, metrics: &MetricsRegistry) -> Self {
         self.overflow_obs = Some(metrics.counter(obs::names::MAILBOX_RING_OVERFLOW));
-        let lanes = metrics.counter(obs::names::MAILBOX_LANES_ALLOCATED);
-        // Catch up on lanes that predate the registry (the dense matrix, or
-        // — defensively — sparse lanes created before this call).
-        let already = self.lanes_allocated.load(Ordering::Relaxed);
-        if already > 0 {
-            lanes.add(0, already as u64);
-        }
-        self.lanes_obs = Some(lanes);
+        self.lanes_obs = Some(metrics.counter(obs::names::MAILBOX_LANES_ALLOCATED));
         self
     }
 
@@ -464,34 +417,33 @@ impl LocalTransport {
         self.ring_capacity
     }
 
-    /// How many (sender, receiver) lanes are actually backed by storage.
-    /// Dense mode: the full `places²` matrix. Sparse mode: one per pair
-    /// that has communicated — the number the `mailbox.lanes_allocated`
-    /// metric mirrors.
+    /// How many (sender, receiver) lanes are backed by storage: one per
+    /// pair that has communicated — the number the
+    /// `mailbox.lanes_allocated` metric mirrors.
     pub fn lanes_allocated(&self) -> usize {
         self.lanes_allocated.load(Ordering::Relaxed)
     }
 
-    /// The lane for `(from, to)` in sparse mode, materializing it on first
-    /// contact. Read-lock lookup on the hot path; the write lock is taken
-    /// only to append a new sender's lane (with a double-check, since two
-    /// racing first messages can both miss the read probe — only one
-    /// inserts; per-pair SPSC discipline means the pair's *owner* sender is
-    /// normally the only writer anyway).
-    fn sparse_lane(&self, rows: &[SparseRow], from: u32, to: usize) -> Arc<Lane> {
+    /// The lane for `(from, to)`, created on first contact. Read-lock
+    /// lookup on the hot path; the write lock is taken only to append a new
+    /// sender's lane (with a double-check, since two racing first messages
+    /// can both miss the read probe — only one inserts; per-pair SPSC
+    /// discipline means the pair's *owner* sender is normally the only
+    /// writer anyway).
+    fn lane(&self, from: u32, to: usize) -> Arc<Lane> {
         {
-            let row = rows[to].inner.read();
+            let row = self.rows[to].read();
             if let Some(&i) = row.by_sender.get(&from) {
-                return row.lanes[i].1.clone();
+                return row.lanes[i].clone();
             }
         }
-        let mut row = rows[to].inner.write();
+        let mut row = self.rows[to].write();
         if let Some(&i) = row.by_sender.get(&from) {
-            return row.lanes[i].1.clone();
+            return row.lanes[i].clone();
         }
         let lane = Arc::new(Lane::new(self.ring_capacity));
         let pos = row.lanes.len();
-        row.lanes.push((from, lane.clone()));
+        row.lanes.push(lane.clone());
         row.by_sender.insert(from, pos);
         self.lanes_allocated.fetch_add(1, Ordering::Relaxed);
         if let Some(c) = &self.lanes_obs {
@@ -515,33 +467,21 @@ impl LocalTransport {
     /// the ring is full *or* a previous overflow has not drained yet (the
     /// rule that keeps ring items strictly older than overflow items, hence
     /// per-pair FIFO). Counts the overflow engagement when it happens.
+    ///
+    /// Lane creation (under the row's write lock) happens-before the push,
+    /// which happens-before the waker swap — so the receiver's
+    /// re-arm/re-check protocol (module docs) sees fresh lanes exactly as
+    /// reliably as fresh messages: its re-check takes the row's read lock,
+    /// which synchronizes with the creating write.
     fn push_lane(&self, env: Envelope) {
-        match &self.lanes {
-            Lanes::Dense(lanes) => {
-                let lane = &lanes[env.from.index() * self.places + env.to.index()];
-                self.push_to(lane, env);
-            }
-            Lanes::Sparse(rows) => {
-                // Lane creation (under the row's write lock) happens-before
-                // the push, which happens-before the waker swap — so the
-                // receiver's re-arm/re-check protocol (module docs) sees
-                // fresh lanes exactly as reliably as fresh messages: its
-                // re-check takes the row's read lock, which synchronizes
-                // with the creating write.
-                let lane = self.sparse_lane(rows, env.from.0, env.to.index());
-                self.push_to(&lane, env);
-            }
-        }
-    }
-
-    fn push_to(&self, lane: &Lane, env: Envelope) {
+        let lane = self.lane(env.from.0, env.to.index());
         if lane.overflow_len.load(Ordering::Acquire) == 0 {
             match lane.ring.push(env) {
                 Ok(()) => {}
-                Err(env) => self.push_overflow(lane, env),
+                Err(env) => self.push_overflow(&lane, env),
             }
         } else {
-            self.push_overflow(lane, env);
+            self.push_overflow(&lane, env);
         }
     }
 
@@ -575,15 +515,11 @@ impl LocalTransport {
 
     /// Any message queued for destination `r`?
     fn has_pending(&self, r: usize) -> bool {
-        match &self.lanes {
-            Lanes::Dense(lanes) => (0..self.places).any(|s| lanes[s * self.places + r].is_active()),
-            Lanes::Sparse(rows) => rows[r]
-                .inner
-                .read()
-                .lanes
-                .iter()
-                .any(|(_, lane)| lane.is_active()),
-        }
+        self.rows[r]
+            .read()
+            .lanes
+            .iter()
+            .any(|lane| lane.is_active())
     }
 
     /// Drain one lane FIFO-correctly: ring first (strictly older), then the
@@ -629,94 +565,26 @@ impl LocalTransport {
     /// One round-robin pass over destination `r`'s incoming lanes, starting
     /// at the sweep cursor. Caller holds the sweep guard.
     ///
-    /// The cursor indexes *senders* in dense mode and *row positions* in
-    /// sparse mode — either way a stable identity for "the lane to resume
-    /// at" (sparse rows are append-only, so positions never move).
+    /// The cursor is a row position — a stable identity for "the lane to
+    /// resume at", since rows are append-only.
     fn sweep(&self, r: usize, budget: usize, out: &mut Vec<Envelope>) -> usize {
         if budget == 0 {
             return 0;
         }
+        let row = self.rows[r].read();
+        let n = row.lanes.len();
         let start = self.recv[r].cursor.load(Ordering::Relaxed);
         let mut total = 0;
-        match &self.lanes {
-            Lanes::Dense(lanes) => {
-                for i in 0..self.places {
-                    let s = (start + i) % self.places;
-                    total += self.drain_lane(&lanes[s * self.places + r], budget - total, out);
-                    if total >= budget {
-                        // Resume at this lane next sweep — it may hold more.
-                        self.recv[r].cursor.store(s, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            Lanes::Sparse(rows) => {
-                let row = rows[r].inner.read();
-                let n = row.lanes.len();
-                if n == 0 {
-                    return 0;
-                }
-                for i in 0..n {
-                    let p = (start + i) % n;
-                    total += self.drain_lane(&row.lanes[p].1, budget - total, out);
-                    if total >= budget {
-                        self.recv[r].cursor.store(p, Ordering::Relaxed);
-                        break;
-                    }
-                }
+        for i in 0..n {
+            let p = (start + i) % n;
+            total += self.drain_lane(&row.lanes[p], budget - total, out);
+            if total >= budget {
+                // Resume at this lane next sweep — it may hold more.
+                self.recv[r].cursor.store(p, Ordering::Relaxed);
+                break;
             }
         }
         total
-    }
-
-    /// Pop one envelope from `lane`, FIFO-correctly (same stale-ring hazard
-    /// as `drain_lane`: after a non-zero `overflow_len` observation the
-    /// Acquire load has made every older ring push visible, so re-take the
-    /// ring before the overflow).
-    fn pop_lane(&self, lane: &Lane) -> Option<Envelope> {
-        lane.ring.pop().or_else(|| {
-            if lane.overflow_len.load(Ordering::Acquire) != 0 {
-                lane.ring.pop().or_else(|| {
-                    let mut q = lane.overflow.lock();
-                    let e = q.pop_front();
-                    lane.overflow_len.store(q.len(), Ordering::Release);
-                    // The ring may have refilled once the overflow emptied.
-                    e.or_else(|| lane.ring.pop())
-                })
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Pop a single envelope for `r`, resuming at the sweep cursor so an
-    /// in-progress lane drains FIFO before the sweep moves on. Caller holds
-    /// the sweep guard.
-    fn sweep_one(&self, r: usize) -> Option<Envelope> {
-        let start = self.recv[r].cursor.load(Ordering::Relaxed);
-        match &self.lanes {
-            Lanes::Dense(lanes) => {
-                for i in 0..self.places {
-                    let s = (start + i) % self.places;
-                    if let Some(env) = self.pop_lane(&lanes[s * self.places + r]) {
-                        self.recv[r].cursor.store(s, Ordering::Relaxed);
-                        return Some(env);
-                    }
-                }
-            }
-            Lanes::Sparse(rows) => {
-                let row = rows[r].inner.read();
-                let n = row.lanes.len();
-                for i in 0..n {
-                    let p = (start + i) % n;
-                    if let Some(env) = self.pop_lane(&row.lanes[p].1) {
-                        self.recv[r].cursor.store(p, Ordering::Relaxed);
-                        return Some(env);
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// Re-arm the debounce for `r` and re-check the lanes. Returns true when
@@ -790,23 +658,6 @@ impl Transport for LocalTransport {
         }
     }
 
-    fn try_recv(&self, place: PlaceId) -> Option<Envelope> {
-        let r = place.index();
-        let rs = &self.recv[r];
-        if rs.closed.load(Ordering::Acquire) {
-            return None;
-        }
-        let _guard = spin_lock(&rs.sweep_guard);
-        loop {
-            if let Some(env) = self.sweep_one(r) {
-                return Some(env);
-            }
-            if !self.rearm_and_recheck(r) {
-                return None;
-            }
-        }
-    }
-
     fn try_recv_batch(&self, place: PlaceId, max: usize, out: &mut Vec<Envelope>) -> usize {
         let r = place.index();
         let rs = &self.recv[r];
@@ -845,18 +696,12 @@ impl Transport for LocalTransport {
         if self.recv[r].closed.load(Ordering::Acquire) {
             return 0;
         }
-        match &self.lanes {
-            Lanes::Dense(lanes) => (0..self.places)
-                .map(|s| lanes[s * self.places + r].len())
-                .sum(),
-            Lanes::Sparse(rows) => rows[r]
-                .inner
-                .read()
-                .lanes
-                .iter()
-                .map(|(_, lane)| lane.len())
-                .sum(),
-        }
+        self.rows[r]
+            .read()
+            .lanes
+            .iter()
+            .map(|lane| lane.len())
+            .sum()
     }
 
     fn kill_place(&self, place: PlaceId) {
@@ -864,27 +709,15 @@ impl Transport for LocalTransport {
         // Order matters: close first, then purge under the sweep guard, so
         // a concurrent send either observed `closed` (and failed) or landed
         // before the purge (and is destroyed with the rest). A straggler
-        // that slips a message in after the purge is harmless: every
-        // receive path gates on `closed`, so it is never delivered, and it
-        // is freed when the transport drops.
+        // that slips a message in after the purge is harmless: the receive
+        // path gates on `closed`, so it is never delivered, and it is freed
+        // when the transport drops.
         self.recv[r].closed.store(true, Ordering::Release);
         let _guard = spin_lock(&self.recv[r].sweep_guard);
         let mut sink = Vec::new();
-        match &self.lanes {
-            Lanes::Dense(lanes) => {
-                for s in 0..self.places {
-                    let lane = &lanes[s * self.places + r];
-                    while self.drain_lane(lane, usize::MAX, &mut sink) > 0 {}
-                    sink.clear();
-                }
-            }
-            Lanes::Sparse(rows) => {
-                let row = rows[r].inner.read();
-                for (_, lane) in row.lanes.iter() {
-                    while self.drain_lane(lane, usize::MAX, &mut sink) > 0 {}
-                    sink.clear();
-                }
-            }
+        for lane in self.rows[r].read().lanes.iter() {
+            while self.drain_lane(lane, usize::MAX, &mut sink) > 0 {}
+            sink.clear();
         }
     }
 
@@ -909,14 +742,22 @@ mod tests {
         Envelope::new(PlaceId(from), PlaceId(to), MsgClass::Task, 8, Box::new(tag))
     }
 
+    fn tag(e: Envelope) -> u64 {
+        *e.payload.downcast::<u64>().unwrap()
+    }
+
+    /// A world wide enough that an all-pairs lane matrix would cost
+    /// `150² = 22,500` lanes up front.
+    const WIDE_PLACES: usize = 150;
+
     #[test]
     fn delivers_point_to_point() {
         let t = LocalTransport::new(3);
         t.send(env(0, 2, 7)).unwrap();
-        assert!(t.try_recv(PlaceId(1)).is_none());
-        let got = t.try_recv(PlaceId(2)).expect("message for place 2");
-        assert_eq!(*got.payload.downcast::<u64>().unwrap(), 7);
-        assert!(t.try_recv(PlaceId(2)).is_none());
+        assert!(recv_one(&t, PlaceId(1)).is_none());
+        let got = recv_one(&t, PlaceId(2)).expect("message for place 2");
+        assert_eq!(tag(got), 7);
+        assert!(recv_one(&t, PlaceId(2)).is_none());
     }
 
     #[test]
@@ -926,8 +767,7 @@ mod tests {
             t.send(env(0, 1, i)).unwrap();
         }
         for i in 0..100u64 {
-            let got = t.try_recv(PlaceId(1)).unwrap();
-            assert_eq!(*got.payload.downcast::<u64>().unwrap(), i);
+            assert_eq!(tag(recv_one(&t, PlaceId(1)).unwrap()), i);
         }
     }
 
@@ -935,18 +775,23 @@ mod tests {
     fn per_pair_fifo_through_overflow() {
         // Ring capacity 4: most of the burst lands in the overflow
         // side-queue, and order must survive the ring → overflow → ring
-        // transitions.
-        let t = LocalTransport::with_ring_capacity(2, 4);
-        for i in 0..100u64 {
-            t.send(env(0, 1, i)).unwrap();
+        // transitions on a lane created by the burst's first message.
+        for (places, to) in [(2, 1u32), (WIDE_PLACES, 149)] {
+            let t = LocalTransport::with_ring_capacity(places, 4);
+            for i in 0..100u64 {
+                t.send(env(0, to, i)).unwrap();
+            }
+            assert!(t.stats().total_ring_overflows() > 0, "overflow must engage");
+            assert_eq!(t.queue_len(PlaceId(to)), 100);
+            for i in 0..100u64 {
+                assert_eq!(
+                    tag(recv_one(&t, PlaceId(to)).unwrap()),
+                    i,
+                    "{places} places"
+                );
+            }
+            assert!(recv_one(&t, PlaceId(to)).is_none());
         }
-        assert!(t.stats().total_ring_overflows() > 0, "overflow must engage");
-        assert_eq!(t.queue_len(PlaceId(1)), 100);
-        for i in 0..100u64 {
-            let got = t.try_recv(PlaceId(1)).unwrap();
-            assert_eq!(*got.payload.downcast::<u64>().unwrap(), i);
-        }
-        assert!(t.try_recv(PlaceId(1)).is_none());
     }
 
     #[test]
@@ -974,9 +819,9 @@ mod tests {
         t.send(env(0, 1, 1)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         // Draining to empty re-arms the debounce ...
-        assert!(t.try_recv(PlaceId(1)).is_some());
-        assert!(t.try_recv(PlaceId(1)).is_some());
-        assert!(t.try_recv(PlaceId(1)).is_none());
+        assert!(recv_one(&t, PlaceId(1)).is_some());
+        assert!(recv_one(&t, PlaceId(1)).is_some());
+        assert!(recv_one(&t, PlaceId(1)).is_none());
         // ... so the next burst fires it again.
         t.send(env(0, 1, 2)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 2);
@@ -1023,12 +868,10 @@ mod tests {
         t.send_batch(batch).unwrap();
         // Per-destination order is send order.
         for want in [0u64, 2, 4, 6, 8] {
-            let got = t.try_recv(PlaceId(1)).unwrap();
-            assert_eq!(*got.payload.downcast::<u64>().unwrap(), want);
+            assert_eq!(tag(recv_one(&t, PlaceId(1)).unwrap()), want);
         }
         for want in [1u64, 3, 5, 7, 9] {
-            let got = t.try_recv(PlaceId(2)).unwrap();
-            assert_eq!(*got.payload.downcast::<u64>().unwrap(), want);
+            assert_eq!(tag(recv_one(&t, PlaceId(2)).unwrap()), want);
         }
         assert_eq!(t.stats().total_messages(), 10);
         assert_eq!(t.stats().total_envelopes(), 10);
@@ -1045,7 +888,7 @@ mod tests {
         assert_eq!(t.try_recv_batch(PlaceId(1), 100, &mut out), 6);
         assert_eq!(t.try_recv_batch(PlaceId(1), 100, &mut out), 0);
         for (i, e) in out.into_iter().enumerate() {
-            assert_eq!(*e.payload.downcast::<u64>().unwrap(), i as u64);
+            assert_eq!(tag(e), i as u64);
         }
     }
 
@@ -1059,7 +902,7 @@ mod tests {
         // for the inner messages are the coalescer's job.
         assert_eq!(t.stats().total_envelopes(), 1);
         assert_eq!(t.stats().total_messages(), 0);
-        let got = t.try_recv(PlaceId(1)).unwrap();
+        let got = recv_one(&t, PlaceId(1)).unwrap();
         let envs = got.unbatch().expect("batch");
         assert_eq!(envs.len(), 4);
     }
@@ -1071,7 +914,7 @@ mod tests {
         t.kill_place(PlaceId(1));
         // Pending traffic is destroyed; the mailbox black-holes.
         assert_eq!(t.queue_len(PlaceId(1)), 0);
-        assert!(t.try_recv(PlaceId(1)).is_none());
+        assert!(recv_one(&t, PlaceId(1)).is_none());
         let err = t.send(env(0, 1, 1)).unwrap_err();
         assert_eq!(err.error, TransportError::PlaceDead { place: PlaceId(1) });
         assert!(err.retry.is_empty());
@@ -1081,7 +924,7 @@ mod tests {
         assert_eq!(t.dead_places(), vec![PlaceId(1)]);
         // Other places are unaffected.
         t.send(env(0, 2, 9)).unwrap();
-        assert!(t.try_recv(PlaceId(2)).is_some());
+        assert!(recv_one(&t, PlaceId(2)).is_some());
     }
 
     #[test]
@@ -1095,8 +938,7 @@ mod tests {
         assert!(err.retry.is_empty());
         // The live destination still got its run, in order.
         for want in [1u64, 3, 5] {
-            let got = t.try_recv(PlaceId(2)).unwrap();
-            assert_eq!(*got.payload.downcast::<u64>().unwrap(), want);
+            assert_eq!(tag(recv_one(&t, PlaceId(2)).unwrap()), want);
         }
         // Destroyed envelopes are not recorded in the ledgers.
         assert_eq!(t.stats().total_messages(), 3);
@@ -1119,7 +961,7 @@ mod tests {
             h.join().unwrap();
         }
         let mut n = 0;
-        while t.try_recv(PlaceId(1)).is_some() {
+        while recv_one(&*t, PlaceId(1)).is_some() {
             n += 1;
         }
         assert_eq!(n, 2000);
@@ -1129,20 +971,22 @@ mod tests {
     fn round_robin_sweep_interleaves_senders() {
         // Three senders, bulk drain: every sender's run arrives FIFO, and
         // the receiver sees all of them however the sweep interleaves.
-        let t = LocalTransport::new(4);
-        for i in 0..30u64 {
-            t.send(env((i % 3) as u32, 3, i)).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(t.try_recv_batch(PlaceId(3), usize::MAX, &mut out), 30);
-        let mut per_sender: [Vec<u64>; 3] = Default::default();
-        for e in out {
-            let tag = *e.payload.downcast::<u64>().unwrap();
-            per_sender[(tag % 3) as usize].push(tag);
-        }
-        for (s, tags) in per_sender.iter().enumerate() {
-            let want: Vec<u64> = (0..30).filter(|i| i % 3 == s as u64).collect();
-            assert_eq!(tags, &want, "sender {s} order broken");
+        for (places, to) in [(4, 3u32), (WIDE_PLACES, 120)] {
+            let t = LocalTransport::new(places);
+            for i in 0..30u64 {
+                t.send(env((i % 3) as u32, to, i)).unwrap();
+            }
+            let mut out = Vec::new();
+            assert_eq!(t.try_recv_batch(PlaceId(to), usize::MAX, &mut out), 30);
+            let mut per_sender: [Vec<u64>; 3] = Default::default();
+            for e in out {
+                let tag = tag(e);
+                per_sender[(tag % 3) as usize].push(tag);
+            }
+            for (s, tags) in per_sender.iter().enumerate() {
+                let want: Vec<u64> = (0..30).filter(|i| i % 3 == s as u64).collect();
+                assert_eq!(tags, &want, "sender {s} order broken ({places} places)");
+            }
         }
     }
 
@@ -1153,25 +997,21 @@ mod tests {
             t.send(env(0, 1, i)).unwrap();
         }
         assert_eq!(t.queue_len(PlaceId(1)), 10);
-        assert!(t.try_recv(PlaceId(1)).is_some());
+        assert!(recv_one(&t, PlaceId(1)).is_some());
         assert_eq!(t.queue_len(PlaceId(1)), 9);
     }
 
-    /// Above the dense threshold: the number of places that would cost
-    /// `150² = 22,500` lane headers eagerly.
-    const SPARSE_PLACES: usize = 150;
-
     #[test]
-    fn dense_mode_accounts_for_the_whole_matrix() {
+    fn small_world_allocates_only_the_talking_lane() {
         let t = LocalTransport::new(4);
-        assert_eq!(t.lanes_allocated(), 16);
+        assert_eq!(t.lanes_allocated(), 0, "no traffic, no lanes");
         t.send(env(0, 1, 0)).unwrap();
-        assert_eq!(t.lanes_allocated(), 16, "dense count is fixed at build");
+        assert_eq!(t.lanes_allocated(), 1, "one message, one lane — not 4²");
     }
 
     #[test]
-    fn sparse_mode_materializes_lanes_on_first_contact() {
-        let t = LocalTransport::new(SPARSE_PLACES);
+    fn lanes_materialize_on_first_contact() {
+        let t = LocalTransport::new(WIDE_PLACES);
         assert_eq!(t.lanes_allocated(), 0, "no traffic, no lanes");
         for s in [3u32, 9, 140] {
             t.send(env(s, 7, u64::from(s))).unwrap();
@@ -1184,54 +1024,18 @@ mod tests {
         t.send(env(3, 8, 1)).unwrap();
         assert_eq!(t.lanes_allocated(), 4);
         let mut got = 0;
-        while t.try_recv(PlaceId(7)).is_some() {
+        while recv_one(&t, PlaceId(7)).is_some() {
             got += 1;
         }
         assert_eq!(got, 4);
     }
 
     #[test]
-    fn sparse_per_pair_fifo_through_overflow() {
-        // Tiny rings in sparse mode: order must survive the ring →
-        // overflow → ring transitions on a lazily-created lane.
-        let t = LocalTransport::with_ring_capacity(SPARSE_PLACES, 4);
-        for i in 0..100u64 {
-            t.send(env(0, 149, i)).unwrap();
-        }
-        assert!(t.stats().total_ring_overflows() > 0, "overflow must engage");
-        assert_eq!(t.queue_len(PlaceId(149)), 100);
-        for i in 0..100u64 {
-            let got = t.try_recv(PlaceId(149)).unwrap();
-            assert_eq!(*got.payload.downcast::<u64>().unwrap(), i);
-        }
-        assert!(t.try_recv(PlaceId(149)).is_none());
-    }
-
-    #[test]
-    fn sparse_round_robin_sweep_interleaves_senders() {
-        let t = LocalTransport::new(SPARSE_PLACES);
-        for i in 0..30u64 {
-            t.send(env((i % 3) as u32, 120, i)).unwrap();
-        }
-        let mut out = Vec::new();
-        assert_eq!(t.try_recv_batch(PlaceId(120), usize::MAX, &mut out), 30);
-        let mut per_sender: [Vec<u64>; 3] = Default::default();
-        for e in out {
-            let tag = *e.payload.downcast::<u64>().unwrap();
-            per_sender[(tag % 3) as usize].push(tag);
-        }
-        for (s, tags) in per_sender.iter().enumerate() {
-            let want: Vec<u64> = (0..30).filter(|i| i % 3 == s as u64).collect();
-            assert_eq!(tags, &want, "sender {s} order broken");
-        }
-    }
-
-    #[test]
-    fn sparse_waker_fires_for_a_brand_new_lane() {
+    fn waker_fires_for_a_brand_new_lane() {
         // The debounce re-arm must see messages on lanes created *after*
         // the previous drain cycle (the row read-lock in the re-check
         // synchronizes with the creating write).
-        let t = LocalTransport::new(SPARSE_PLACES);
+        let t = LocalTransport::new(WIDE_PLACES);
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
         t.register_waker(
@@ -1242,34 +1046,34 @@ mod tests {
         );
         t.send(env(1, 60, 0)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        assert!(t.try_recv(PlaceId(60)).is_some());
-        assert!(t.try_recv(PlaceId(60)).is_none()); // re-arms the debounce
+        assert!(recv_one(&t, PlaceId(60)).is_some());
+        assert!(recv_one(&t, PlaceId(60)).is_none()); // re-arms the debounce
         t.send(env(2, 60, 1)).unwrap(); // fresh sender, fresh lane
         assert_eq!(hits.load(Ordering::SeqCst), 2);
-        assert!(t.try_recv(PlaceId(60)).is_some());
+        assert!(recv_one(&t, PlaceId(60)).is_some());
     }
 
     #[test]
-    fn sparse_kill_place_purges_lazy_lanes() {
-        let t = LocalTransport::new(SPARSE_PLACES);
+    fn kill_place_purges_lazy_lanes() {
+        let t = LocalTransport::new(WIDE_PLACES);
         t.send(env(0, 33, 0)).unwrap();
         t.send(env(5, 33, 1)).unwrap();
         t.kill_place(PlaceId(33));
         assert_eq!(t.queue_len(PlaceId(33)), 0);
-        assert!(t.try_recv(PlaceId(33)).is_none());
+        assert!(recv_one(&t, PlaceId(33)).is_none());
         let err = t.send(env(0, 33, 2)).unwrap_err();
         assert_eq!(err.error, TransportError::PlaceDead { place: PlaceId(33) });
         // Unrelated pairs keep working.
         t.send(env(0, 34, 3)).unwrap();
-        assert!(t.try_recv(PlaceId(34)).is_some());
+        assert!(recv_one(&t, PlaceId(34)).is_some());
     }
 
     #[test]
-    fn sparse_concurrent_first_contacts_race_safely() {
+    fn concurrent_first_contacts_race_safely() {
         // Many senders hit the same receiver's row concurrently, all
         // first-contact: every lane must be created exactly once and every
         // message delivered.
-        let t = Arc::new(LocalTransport::new(SPARSE_PLACES));
+        let t = Arc::new(LocalTransport::new(WIDE_PLACES));
         let mut handles = vec![];
         for s in 0..8u32 {
             let t = t.clone();
@@ -1284,7 +1088,7 @@ mod tests {
         }
         assert_eq!(t.lanes_allocated(), 8);
         let mut n = 0;
-        while t.try_recv(PlaceId(77)).is_some() {
+        while recv_one(&*t, PlaceId(77)).is_some() {
             n += 1;
         }
         assert_eq!(n, 1600);

@@ -11,7 +11,8 @@
 
 use std::sync::Arc;
 use x10rt::{
-    ClassFaults, Envelope, FaultPlan, FaultTransport, LocalTransport, MsgClass, PlaceId, Transport,
+    recv_one, ClassFaults, Envelope, FaultPlan, FaultTransport, LocalTransport, MsgClass, PlaceId,
+    Transport,
 };
 
 const PLACES: usize = 4;
@@ -38,7 +39,7 @@ fn delivered_pattern(plan: FaultPlan, class: MsgClass, n: u64) -> (u64, u64) {
     }
     let mut mask = 0u64;
     let mut count = 0u64;
-    while let Some(e) = t.try_recv(PlaceId(1)) {
+    while let Some(e) = recv_one(&t, PlaceId(1)) {
         // Delay markers and duplicates both resolve to real payloads here;
         // phantom duplicate markers are filtered by the decorator itself.
         let tag = *e.payload.downcast::<u64>().unwrap();
@@ -88,7 +89,7 @@ fn delay_release_pattern_is_stable() {
             t.poke();
         }
         let mut order = Vec::new();
-        while let Some(e) = t.try_recv(PlaceId(1)) {
+        while let Some(e) = recv_one(&t, PlaceId(1)) {
             order.push(*e.payload.downcast::<u64>().unwrap());
         }
         (order, t.fault_counts().delayed)
@@ -115,7 +116,7 @@ fn duplicate_decisions_are_stable() {
     }
     let mut mask = 0u64;
     let mut count = 0u64;
-    while let Some(e) = t.try_recv(PlaceId(1)) {
+    while let Some(e) = recv_one(&t, PlaceId(1)) {
         mask |= 1 << *e.payload.downcast::<u64>().unwrap();
         count += 1;
     }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use x10rt::{Envelope, LocalTransport, MsgClass, PlaceId, SpscRing, Transport};
+use x10rt::{recv_one, Envelope, LocalTransport, MsgClass, PlaceId, SpscRing, Transport};
 
 fn env(from: u32, to: u32, tag: u64) -> Envelope {
     Envelope::new(PlaceId(from), PlaceId(to), MsgClass::Task, 8, Box::new(tag))
@@ -110,13 +110,13 @@ proptest! {
             if send {
                 t.send(env(0, 1, pushed)).unwrap();
                 pushed += 1;
-            } else if let Some(e) = t.try_recv(PlaceId(1)) {
+            } else if let Some(e) = recv_one(&t, PlaceId(1)) {
                 prop_assert_eq!(*e.payload.downcast::<u64>().unwrap(), popped);
                 popped += 1;
             }
             prop_assert_eq!(t.queue_len(PlaceId(1)) as u64, pushed - popped);
         }
-        while let Some(e) = t.try_recv(PlaceId(1)) {
+        while let Some(e) = recv_one(&t, PlaceId(1)) {
             prop_assert_eq!(*e.payload.downcast::<u64>().unwrap(), popped);
             popped += 1;
         }

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use x10rt::{
-    Coalescer, CongruentAllocator, Envelope, LocalTransport, MsgClass, PlaceId, SegmentTable,
-    Transport,
+    recv_one, Coalescer, CongruentAllocator, Envelope, LocalTransport, MsgClass, PlaceId,
+    SegmentTable, Transport,
 };
 
 fn env(from: u32, to: u32, tag: u64) -> Envelope {
@@ -89,7 +89,7 @@ proptest! {
         let mut seen = [[0u64; 4]; 4];
         let mut total = 0;
         for place in 0..4u32 {
-            while let Some(e) = t.try_recv(PlaceId(place)) {
+            while let Some(e) = recv_one(&t, PlaceId(place)) {
                 let tag = *e.payload.downcast::<u64>().unwrap();
                 let from = (tag >> 40) as usize;
                 let to = ((tag >> 32) & 0xff) as usize;
