@@ -5,7 +5,7 @@
 //! one message summarizing many spawn/receive/death events.
 
 use super::{Deltas, FinishKind, FinishRef};
-use std::collections::HashMap;
+use x10rt::FxHashMap;
 
 /// What the place must transmit after a proxy state change.
 #[derive(Debug)]
@@ -36,8 +36,8 @@ pub struct Proxy {
     pub here: u32,
     /// Governed activities currently at this place (queued or running).
     pub live: u64,
-    spawned_to: HashMap<u32, u64>,
-    recv_from: HashMap<u32, u64>,
+    spawned_to: FxHashMap<u32, u64>,
+    recv_from: FxHashMap<u32, u64>,
     local_spawned: u64,
     died: u64,
     done_recv: u64,
@@ -51,8 +51,8 @@ impl Proxy {
             fin,
             here,
             live: 0,
-            spawned_to: HashMap::new(),
-            recv_from: HashMap::new(),
+            spawned_to: FxHashMap::default(),
+            recv_from: FxHashMap::default(),
             local_spawned: 0,
             died: 0,
             done_recv: 0,
@@ -67,11 +67,12 @@ impl Proxy {
         )
     }
 
-    /// A governed activity arrived from `src`.
-    pub fn on_receive(&mut self, src: u32) {
-        self.live += 1;
+    /// `k` governed activities arrived from `src` — a run of consecutive
+    /// task messages of one batch, charged in one step.
+    pub fn on_receive_n(&mut self, src: u32, k: u64) {
+        self.live += k;
         if self.is_matrix_kind() {
-            *self.recv_from.entry(src).or_insert(0) += 1;
+            *self.recv_from.entry(src).or_insert(0) += k;
         }
     }
 
@@ -210,7 +211,7 @@ mod tests {
     #[test]
     fn default_flushes_on_zero_live() {
         let mut p = Proxy::new(fin(FinishKind::Default), HERE);
-        p.on_receive(0);
+        p.on_receive_n(0, 1);
         p.on_local_spawn();
         assert!(matches!(p.on_death(true, None), ProxyEmit::None));
         match p.on_death(false, None) {
@@ -227,14 +228,14 @@ mod tests {
     #[test]
     fn dense_emits_routed_flush() {
         let mut p = Proxy::new(fin(FinishKind::Dense), HERE);
-        p.on_receive(2);
+        p.on_receive_n(2, 1);
         assert!(matches!(p.on_death(true, None), ProxyEmit::DenseFlush(_)));
     }
 
     #[test]
     fn spmd_acknowledges_only_received() {
         let mut p = Proxy::new(fin(FinishKind::Spmd), HERE);
-        p.on_receive(0);
+        p.on_receive_n(0, 1);
         p.on_local_spawn(); // local helper
         p.on_local_spawn();
         // received activity dies first; helpers still live → no Done yet
@@ -250,14 +251,14 @@ mod tests {
     #[should_panic(expected = "FINISH_SPMD pragma violated")]
     fn spmd_rejects_escaping_remote_spawn() {
         let mut p = Proxy::new(fin(FinishKind::Spmd), HERE);
-        p.on_receive(0);
+        p.on_receive_n(0, 1);
         p.on_remote_spawn(3);
     }
 
     #[test]
     fn threshold_flush_partial_then_final() {
         let mut p = Proxy::new(fin(FinishKind::Default), HERE);
-        p.on_receive(0);
+        p.on_receive_n(0, 1);
         for d in 0..10 {
             p.on_remote_spawn(d);
         }
@@ -281,7 +282,7 @@ mod tests {
     #[test]
     fn panics_ride_the_flush() {
         let mut p = Proxy::new(fin(FinishKind::Spmd), HERE);
-        p.on_receive(0);
+        p.on_receive_n(0, 1);
         match p.on_death(true, Some("kaboom".into())) {
             ProxyEmit::Done { panics, .. } => assert_eq!(panics, vec!["kaboom".to_string()]),
             e => panic!("{e:?}"),
@@ -289,9 +290,44 @@ mod tests {
     }
 
     #[test]
+    fn batched_receipts_match_single_receipts() {
+        // One proxy charges each sender's run in one call, its twin one
+        // receipt at a time: live counts and per-sender tallies must agree,
+        // and so must the flush both emit when the activities die.
+        let kinds = [
+            FinishKind::Default,
+            FinishKind::Dense,
+            FinishKind::Resilient,
+            FinishKind::Spmd,
+        ];
+        let tallies = |p: &Proxy| {
+            let mut recv: Vec<_> = p.recv_from.iter().map(|(&s, &k)| (s, k)).collect();
+            recv.sort_unstable();
+            (p.live, recv)
+        };
+        for kind in kinds {
+            let mut batched = Proxy::new(fin(kind), HERE);
+            let mut single = Proxy::new(fin(kind), HERE);
+            batched.on_receive_n(0, 4);
+            batched.on_receive_n(2, 3);
+            for src in [0, 0, 0, 0, 2, 2, 2] {
+                single.on_receive_n(src, 1);
+            }
+            assert_eq!(tallies(&batched), tallies(&single), "{kind:?}");
+            let (mut a, mut b) = (None, None);
+            for _ in 0..7 {
+                a = Some(format!("{:?}", batched.on_death(true, None)));
+                b = Some(format!("{:?}", single.on_death(true, None)));
+            }
+            assert_eq!(a, b, "{kind:?}: final emits differ");
+            assert!(batched.is_idle() && single.is_idle());
+        }
+    }
+
+    #[test]
     fn below_threshold_no_flush() {
         let mut p = Proxy::new(fin(FinishKind::Default), HERE);
-        p.on_receive(0);
+        p.on_receive_n(0, 1);
         p.on_remote_spawn(1);
         assert!(matches!(p.maybe_flush_threshold(4), ProxyEmit::None));
     }

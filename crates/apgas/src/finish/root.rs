@@ -124,7 +124,12 @@ impl RootState {
 
     #[inline]
     fn progressed(&self) {
-        self.events.fetch_add(1, Ordering::Relaxed);
+        self.progressed_n(1);
+    }
+
+    #[inline]
+    fn progressed_n(&self, k: u64) {
+        self.events.fetch_add(k, Ordering::Relaxed);
     }
 
     fn check(&self, g: &Inner) {
@@ -232,10 +237,12 @@ impl RootState {
         }
     }
 
-    /// An activity governed by this finish arrived at the home place from
-    /// `src` (default/dense bookkeeping; weighted arrivals report at death).
-    pub fn note_home_receive(&self, home: u32, src: u32) {
-        self.progressed();
+    /// `k` activities governed by this finish arrived at the home place
+    /// from `src` — a run of consecutive task messages of one batch, charged
+    /// under one lock (default/dense bookkeeping; weighted arrivals report
+    /// at death). Leaves exactly the state of `k` single receipts.
+    pub fn note_home_receive_n(&self, home: u32, src: u32, k: u64) {
+        self.progressed_n(k);
         let mut g = self.inner.lock();
         match self.kind {
             FinishKind::Default | FinishKind::Dense | FinishKind::Resilient => {
@@ -252,9 +259,9 @@ impl RootState {
                     ..
                 } = &mut *g;
                 if !adopted_src {
-                    bump(matrix, nonzero_matrix, (src, home), -1);
+                    bump(matrix, nonzero_matrix, (src, home), -(k as i64));
                 }
-                bump1(live, nonzero_live, home, 1);
+                bump1(live, nonzero_live, home, k as i64);
             }
             FinishKind::Here => {}
             k => debug_assert!(false, "unexpected home receive under {k:?}"),
@@ -651,6 +658,76 @@ mod tests {
         assert!(!r.is_done());
         r.note_local_death(0, None);
         assert!(r.is_done());
+    }
+
+    /// Everything a receipt touches: the matrix and live tables (sorted),
+    /// their nonzero counts, and the watchdog's progress-event count.
+    #[allow(clippy::type_complexity)]
+    fn receipt_state(
+        r: &RootState,
+    ) -> (Vec<((u32, u32), i64)>, Vec<(u32, i64)>, usize, usize, u64) {
+        let g = r.inner.lock();
+        let mut matrix: Vec<_> = g.matrix.iter().map(|(&k, &v)| (k, v)).collect();
+        matrix.sort_unstable();
+        let mut live: Vec<_> = g.live.iter().map(|(&k, &v)| (k, v)).collect();
+        live.sort_unstable();
+        (
+            matrix,
+            live,
+            g.nonzero_matrix,
+            g.nonzero_live,
+            r.progress_events(),
+        )
+    }
+
+    #[test]
+    fn batched_home_receipts_match_single_receipts() {
+        // Place 2 reports 5 spawns to home 0; place 3 (adopted under
+        // resilient finish, so its spawn edge is gone) also sends 4. One
+        // root charges each sender's run in one call, its twin one receipt
+        // at a time: every table, count and event tally must agree, also
+        // midway, and both must terminate together.
+        let kinds = [
+            FinishKind::Default,
+            FinishKind::Dense,
+            FinishKind::Resilient,
+        ];
+        for kind in kinds {
+            let (batched, single) = (root(kind), root(kind));
+            for r in [&batched, &single] {
+                r.apply_deltas(Deltas {
+                    spawned: vec![(2, 0, 5), (3, 0, 4)],
+                    ..Deltas::default()
+                });
+                if kind == FinishKind::Resilient {
+                    r.reconstruct(&[3]).expect("adopted");
+                }
+            }
+            assert_eq!(receipt_state(&batched), receipt_state(&single));
+            batched.note_home_receive_n(0, 2, 3);
+            for _ in 0..3 {
+                single.note_home_receive_n(0, 2, 1);
+            }
+            assert_eq!(
+                receipt_state(&batched),
+                receipt_state(&single),
+                "{kind:?} midway"
+            );
+            batched.note_home_receive_n(0, 2, 2);
+            batched.note_home_receive_n(0, 3, 4);
+            for src in [2, 2, 3, 3, 3, 3] {
+                single.note_home_receive_n(0, src, 1);
+            }
+            assert_eq!(receipt_state(&batched), receipt_state(&single), "{kind:?}");
+            for r in [&batched, &single] {
+                r.set_body_done();
+                for _ in 0..9 {
+                    assert!(!r.is_done());
+                    r.note_local_death(0, None);
+                }
+                assert!(r.is_done(), "{kind:?}");
+            }
+        }
     }
 
     #[test]

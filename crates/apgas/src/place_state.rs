@@ -14,7 +14,7 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::Arc;
-use x10rt::PlaceId;
+use x10rt::{FxHashMap, PlaceId};
 
 /// A schedulable activity: its body plus its termination-detection
 /// attachment.
@@ -55,7 +55,7 @@ pub struct PlaceState {
     /// Source of home-local finish sequence numbers.
     pub next_finish_seq: AtomicU64,
     /// Finish proxies for remotely-homed finishes with state at this place.
-    pub proxies: Mutex<HashMap<FinishId, Proxy>>,
+    pub proxies: Mutex<FxHashMap<FinishId, Proxy>>,
     /// Resilient-finish backup snapshots this place holds for finishes
     /// homed at its predecessor (home+1 replication; see DESIGN.md §6).
     /// Released when the home reports completion.
@@ -100,7 +100,7 @@ impl PlaceState {
             parks: AtomicU64::new(0),
             roots: Mutex::new(HashMap::new()),
             next_finish_seq: AtomicU64::new(1),
-            proxies: Mutex::new(HashMap::new()),
+            proxies: Mutex::new(FxHashMap::default()),
             backup_roots: Mutex::new(HashMap::new()),
             dense_agg: Mutex::new(DenseAggregator::new()),
             registry: Mutex::new(HashMap::new()),
@@ -131,6 +131,13 @@ impl PlaceState {
     /// Enqueue an activity and wake a worker.
     pub fn enqueue(&self, act: Activity) {
         self.queue.push(act);
+        self.wake();
+    }
+
+    /// Enqueue several activities, in order, under one queue lock with one
+    /// wake (the receive path's per-envelope enqueue).
+    pub fn enqueue_all(&self, acts: impl IntoIterator<Item = Activity>) {
+        self.queue.push_all(acts);
         self.wake();
     }
 }

@@ -31,7 +31,7 @@ use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use x10rt::codec::{self, HandlerId, WireMsg};
 use x10rt::{Coalescer, CodecMode, Envelope, MsgClass, PlaceId};
 
@@ -116,9 +116,12 @@ pub struct Worker {
     coalescer: RefCell<Coalescer>,
     /// Scratch buffer for bulk mailbox drains (reused across calls).
     recv_scratch: RefCell<Vec<Envelope>>,
-    /// Consecutive idle quanta; drives the yield-before-sleep backoff in
-    /// [`Worker::park_brief`].
-    idle_streak: Cell<u32>,
+    /// Arrivals of the envelope being dispatched (its buffer reused across
+    /// calls; see [`Arrivals`]).
+    arrivals: RefCell<Arrivals>,
+    /// When the current run of idle quanta began (`None` after progress);
+    /// drives the yield-before-sleep backoff in [`Worker::park_brief`].
+    idle_since: Cell<Option<Instant>>,
     /// The causal identity of whatever this worker is currently executing or
     /// handling — the parent every outgoing stamped message links to.
     /// Saved/restored around nested execution (help-first waiting runs
@@ -151,12 +154,43 @@ struct WorkerHooks {
     watchdog_fired: Counter,
 }
 
-/// Idle quanta a worker spends yielding the CPU before it takes the condvar
-/// sleep. Aggregated traffic arrives in bursts, so a receiver that just
-/// drained its mailbox very often gets its next batch within a few scheduler
-/// quanta of the sender — yielding there avoids a futex sleep/wake round
-/// trip per burst, which dominates on oversubscribed hosts.
-const PARK_SPIN_YIELDS: u32 = 8;
+/// Consecutive task messages of one envelope from one sender under one
+/// finish: their receipts are charged in one accounting step.
+struct ReceiptRun {
+    fin: FinishRef,
+    src: u32,
+    k: u64,
+}
+
+/// The task messages of the envelope being dispatched, decoded into
+/// activities and held until [`Worker::settle`] charges their receipts and
+/// enqueues them together.
+#[derive(Default)]
+struct Arrivals {
+    /// Held activities, in arrival order.
+    acts: Vec<Activity>,
+    /// The receipts not yet charged.
+    run: Option<ReceiptRun>,
+}
+
+/// The finish whose accounting a task message's arrival charges, if any:
+/// uncounted activities charge nothing, and FINISH_HERE reports at death
+/// (its credit travels with the activity).
+fn receipt_finish(attach: &Attach) -> Option<FinishRef> {
+    match attach {
+        Attach::Counted { fin, .. } if fin.kind != FinishKind::Here => Some(*fin),
+        _ => None,
+    }
+}
+
+/// How long an idle worker keeps yielding the CPU before it takes the
+/// condvar sleep. Aggregated traffic arrives in bursts, so a receiver that
+/// just drained its mailbox very often gets its next batch within
+/// microseconds of the sender — yielding there avoids a futex sleep/wake
+/// round trip per burst, which dominates on oversubscribed hosts. A time,
+/// not a count of idle quanta: an empty mailbox poll is one atomic load, so
+/// a count would make the window as short as the poll is cheap.
+const PARK_SPIN: Duration = Duration::from_micros(10);
 
 /// How long an idle worker parks before re-polling its mailbox (and the M:N
 /// executors' resweep period). The re-poll keeps time-based machinery live —
@@ -220,7 +254,8 @@ impl Worker {
             here,
             coalescer: RefCell::new(coalescer),
             recv_scratch: RefCell::new(Vec::new()),
-            idle_streak: Cell::new(0),
+            arrivals: RefCell::new(Arrivals::default()),
+            idle_since: Cell::new(None),
             current_cause: Cell::new(None),
             hooks,
             mplex,
@@ -367,7 +402,7 @@ impl Worker {
         };
         self.flush_sends();
         if progress {
-            self.idle_streak.set(0);
+            self.idle_since.set(None);
         }
         progress
     }
@@ -470,7 +505,6 @@ impl Worker {
         root: &RootState,
         limit: std::time::Duration,
     ) -> Result<(), crate::error::ApgasError> {
-        use std::time::Instant;
         let mut last = root.progress_events();
         let mut deadline = Instant::now() + limit;
         while !root.is_done() {
@@ -568,10 +602,11 @@ impl Worker {
             return;
         }
         // Back off gently first: give the CPU away and re-check before
-        // committing to a condvar sleep (see PARK_SPIN_YIELDS).
-        let streak = self.idle_streak.get();
-        if streak < PARK_SPIN_YIELDS {
-            self.idle_streak.set(streak + 1);
+        // committing to a condvar sleep (see PARK_SPIN).
+        let now = Instant::now();
+        let since = self.idle_since.get().unwrap_or(now);
+        self.idle_since.set(Some(since));
+        if now - since < PARK_SPIN {
             std::thread::yield_now();
             return;
         }
@@ -626,34 +661,40 @@ impl Worker {
     // ------------------------------------------------------------------
 
     fn drain_messages(&self, max: usize) -> usize {
-        // Bulk drain: pull up to `max` envelopes under one mailbox lock
-        // acquisition, then dispatch outside the lock. The scratch vector is
-        // taken out of its cell for the duration so handlers are free to use
+        // Bulk drain: pull up to `max` envelopes in one transport call, then
+        // dispatch each envelope as a unit. The scratch buffers are taken
+        // out of their cells for the duration so handlers are free to use
         // `self` (they never drain recursively).
         let mut scratch = std::mem::take(&mut *self.recv_scratch.borrow_mut());
         self.g
             .transport
             .try_recv_batch(self.here, max, &mut scratch);
+        let mut arrivals = std::mem::take(&mut *self.arrivals.borrow_mut());
         let mut n = 0;
         for env in scratch.drain(..) {
             // A batch envelope expands into its logical messages, dispatched
-            // in their original send order; the emptied batch box then goes
-            // back to the coalescer's arena (after the dispatch loop —
-            // handlers may borrow the coalescer to send).
+            // in their original send order and settled together: one
+            // accounting step per receipt run, one enqueue for the whole
+            // batch. The emptied batch box then goes back to the coalescer's
+            // arena (after the dispatch loop — handlers may borrow the
+            // coalescer to send).
             match env.unbatch_boxed() {
                 Ok(mut batch) => {
                     n += batch.envs.len();
                     for env in batch.envs.drain(..) {
-                        self.handle_envelope(env);
+                        self.handle_envelope(env, &mut arrivals);
                     }
+                    self.settle(&mut arrivals);
                     self.coalescer.borrow_mut().recycle_batch(batch);
                 }
                 Err(env) => {
                     n += 1;
-                    self.handle_envelope(env);
+                    self.handle_envelope(env, &mut arrivals);
+                    self.settle(&mut arrivals);
                 }
             }
         }
+        *self.arrivals.borrow_mut() = arrivals;
         *self.recv_scratch.borrow_mut() = scratch;
         self.forward_dense();
         if n > 0 {
@@ -664,7 +705,10 @@ impl Worker {
         n
     }
 
-    fn handle_envelope(&self, env: Envelope) {
+    /// Dispatch one logical message. A task message only joins `arrivals`
+    /// (the caller settles them); any other message first settles what
+    /// arrived before it, so it observes every earlier receipt.
+    fn handle_envelope(&self, env: Envelope, arrivals: &mut Arrivals) {
         // Receive stamp: dispatch time at this worker. Recorded before the
         // class dispatch so the transport component of the causal edge ends
         // here and the handling below is attributed as execution.
@@ -684,7 +728,7 @@ impl Worker {
         // arriving at an Inline-mode runtime — always works.
         let payload = match payload.downcast::<WireMsg>() {
             Ok(w) => {
-                self.handle_wire(from, class, causal, *w);
+                self.handle_wire(from, class, causal, *w, arrivals);
                 return;
             }
             Err(p) => p,
@@ -694,37 +738,39 @@ impl Worker {
                 let msg = payload
                     .downcast::<SpawnMsg>()
                     .expect("task-class payload must be a SpawnMsg");
-                if let Some(h) = &self.hooks {
-                    h.spawn_recv.inc(self.here.0);
-                    h.trace.instant("spawn", "recv", from.0 as u64);
-                }
-                self.register_receipt(&msg.attach, from.0);
                 // The activity carries the message's causal id; its
                 // execution span is recorded when a worker actually runs it,
                 // which is what splits queue-wait from execution.
-                self.place.enqueue(Activity {
-                    body: msg.body,
-                    attach: msg.attach,
-                    cause: causal,
-                    cause_remote: true,
-                });
+                self.arrive(
+                    arrivals,
+                    from.0,
+                    Activity {
+                        body: msg.body,
+                        attach: msg.attach,
+                        cause: causal,
+                        cause_remote: true,
+                    },
+                );
             }
             MsgClass::FinishCtl => {
                 let msg = payload
                     .downcast::<FinishMsg>()
                     .expect("finish-ctl payload must be a FinishMsg");
+                self.settle(arrivals);
                 self.with_inline_cause(causal, || self.handle_finish_msg(*msg));
             }
             MsgClass::Team => {
                 let msg = payload
                     .downcast::<TeamWire>()
                     .expect("team payload must be a TeamWire");
+                self.settle(arrivals);
                 self.with_inline_cause(causal, || self.place.team.lock().deliver(*msg));
             }
             MsgClass::Clock => {
                 let msg = payload
                     .downcast::<ClockMsg>()
                     .expect("clock payload must be a ClockMsg");
+                self.settle(arrivals);
                 self.with_inline_cause(causal, || crate::clock::handle_msg(self, *msg));
             }
             MsgClass::System => { /* shutdown travels via the flag */ }
@@ -737,12 +783,22 @@ impl Worker {
     /// Dispatch a serialized [`WireMsg`] (see `PROTOCOL.md`). Decode
     /// failures here mean a peer violated the protocol; they panic with the
     /// typed decode error rather than limping on with garbage.
-    fn handle_wire(&self, from: PlaceId, class: MsgClass, causal: Option<CausalId>, w: WireMsg) {
+    fn handle_wire(
+        &self,
+        from: PlaceId,
+        class: MsgClass,
+        causal: Option<CausalId>,
+        w: WireMsg,
+        arrivals: &mut Arrivals,
+    ) {
         let WireMsg {
             handler,
             args,
             inline,
         } = w;
+        if handler != codec::H_SPAWN {
+            self.settle(arrivals);
+        }
         match handler {
             codec::H_SPAWN => {
                 let (attach, body) = wire::decode_spawn(&args)
@@ -759,17 +815,16 @@ impl Worker {
                         SpawnBody::Cmd { handler, args }.into_task()
                     }
                 };
-                if let Some(h) = &self.hooks {
-                    h.spawn_recv.inc(self.here.0);
-                    h.trace.instant("spawn", "recv", from.0 as u64);
-                }
-                self.register_receipt(&attach, from.0);
-                self.place.enqueue(Activity {
-                    body,
-                    attach,
-                    cause: causal,
-                    cause_remote: true,
-                });
+                self.arrive(
+                    arrivals,
+                    from.0,
+                    Activity {
+                        body,
+                        attach,
+                        cause: causal,
+                        cause_remote: true,
+                    },
+                );
             }
             codec::H_FINISH => {
                 let msg = wire::decode_finish_msg(&args)
@@ -899,13 +954,13 @@ impl Worker {
         match msg {
             FinishMsg::Flush { fin, deltas } => match self.try_root_of(&fin) {
                 Some(r) => r.apply_deltas(deltas),
-                None => self.note_stray_ctl(&fin),
+                None => self.note_stray_ctl(&fin, 1),
             },
             FinishMsg::DenseHop { fin, deltas } => {
                 if fin.id.home == self.here {
                     match self.try_root_of(&fin) {
                         Some(r) => r.apply_deltas(deltas),
-                        None => self.note_stray_ctl(&fin),
+                        None => self.note_stray_ctl(&fin, 1),
                     }
                 } else {
                     self.place.dense_agg.lock().absorb(fin, deltas);
@@ -917,11 +972,11 @@ impl Worker {
                 panics,
             } => match self.try_root_of(&fin) {
                 Some(r) => r.apply_done(completions, panics),
-                None => self.note_stray_ctl(&fin),
+                None => self.note_stray_ctl(&fin, 1),
             },
             FinishMsg::CreditReturn { fin, weight, panic } => match self.try_root_of(&fin) {
                 Some(r) => r.apply_credit(weight, panic),
-                None => self.note_stray_ctl(&fin),
+                None => self.note_stray_ctl(&fin, 1),
             },
             // Resilient backup replication: this place is the *backup*, not
             // the home — store/discard the snapshot keyed by finish id. A
@@ -942,7 +997,7 @@ impl Worker {
                         self.reexec_cmd(&r, cmd);
                     }
                 }
-                None => self.note_stray_ctl(&fin),
+                None => self.note_stray_ctl(&fin, 1),
             },
         }
     }
@@ -996,7 +1051,7 @@ impl Worker {
     /// faults or a watchdog configured it is expected residue — duplicated
     /// flushes, or stragglers of a scope the watchdog abandoned — and is
     /// counted and dropped.
-    fn note_stray_ctl(&self, fin: &FinishRef) {
+    fn note_stray_ctl(&self, fin: &FinishRef, msgs: u64) {
         if self.g.cfg.fault_plan.is_none()
             && self.g.cfg.finish_watchdog.is_none()
             && self.g.transport.dead_places().is_empty()
@@ -1007,7 +1062,7 @@ impl Worker {
             );
         }
         if let Some(h) = &self.hooks {
-            h.stray_ctl.inc(self.here.0);
+            h.stray_ctl.add(self.here.0, msgs);
             h.trace.instant("finish", "stray_ctl", fin.id.seq);
         }
     }
@@ -1187,30 +1242,58 @@ impl Worker {
         self.send_finish_msg(backup, 13, FinishMsg::BackupRelease { fin });
     }
 
-    /// Account for an activity arriving at this place from `src`.
-    fn register_receipt(&self, attach: &Attach, src: u32) {
-        let Attach::Counted { fin, .. } = attach else {
-            return;
-        };
+    /// Take in the activity of a task message from `src`: extend the open
+    /// receipt run (or charge it and start a new one) and hold the activity
+    /// for the envelope's single enqueue.
+    fn arrive(&self, arrivals: &mut Arrivals, src: u32, act: Activity) {
+        if let Some(h) = &self.hooks {
+            h.spawn_recv.inc(self.here.0);
+            h.trace.instant("spawn", "recv", u64::from(src));
+        }
+        if let Some(fin) = receipt_finish(&act.attach) {
+            match &mut arrivals.run {
+                Some(run) if run.fin.id == fin.id && run.src == src => run.k += 1,
+                open => {
+                    if let Some(done) = open.replace(ReceiptRun { fin, src, k: 1 }) {
+                        self.charge(done);
+                    }
+                }
+            }
+        }
+        arrivals.acts.push(act);
+    }
+
+    /// Charge the pending receipt run, then move the held activities to the
+    /// place queue under one lock with one wake. The charge comes first: an
+    /// activity's death must find its receipt already counted.
+    fn settle(&self, arrivals: &mut Arrivals) {
+        if let Some(run) = arrivals.run.take() {
+            self.charge(run);
+        }
+        if !arrivals.acts.is_empty() {
+            self.place.enqueue_all(arrivals.acts.drain(..));
+        }
+    }
+
+    /// Account for `k` activities arriving at this place from `src` under
+    /// `fin`: one root or proxy lock and one map lookup for the whole run.
+    fn charge(&self, run: ReceiptRun) {
+        let ReceiptRun { fin, src, k } = run;
         if fin.id.home == self.here {
             match fin.kind {
                 FinishKind::Default | FinishKind::Dense | FinishKind::Resilient => {
-                    match self.try_root_of(fin) {
-                        Some(r) => r.note_home_receive(self.here.0, src),
-                        None => self.note_stray_ctl(fin),
+                    match self.try_root_of(&fin) {
+                        Some(r) => r.note_home_receive_n(self.here.0, src, k),
+                        None => self.note_stray_ctl(&fin, k),
                     }
                 }
-                FinishKind::Here => {}
-                k => debug_assert!(false, "unexpected home receipt under {k:?}"),
+                kind => debug_assert!(false, "unexpected home receipt under {kind:?}"),
             }
         } else {
-            match fin.kind {
-                FinishKind::Here => {}
-                _ => self.with_proxy(*fin, |p| {
-                    p.on_receive(src);
-                    ProxyEmit::None
-                }),
-            }
+            self.with_proxy(fin, |p| {
+                p.on_receive_n(src, k);
+                ProxyEmit::None
+            });
         }
     }
 
@@ -1234,7 +1317,7 @@ impl Worker {
             } => {
                 if fin.id.home == self.here {
                     let Some(root) = self.try_root_of(&fin) else {
-                        self.note_stray_ctl(&fin);
+                        self.note_stray_ctl(&fin, 1);
                         return;
                     };
                     if fin.kind == FinishKind::Here && weight > 0 {

@@ -663,16 +663,22 @@ impl Transport for FaultTransport {
         }
         let before = out.len();
         self.inner.try_recv_batch(place, max, out);
-        let mut filtered = 0u64;
-        out.retain(|env| {
-            let marker = env.payload.downcast_ref::<FaultMarker>().is_some();
-            filtered += marker as u64;
-            !marker
-        });
+        // Filter only what this call appended: the caller's earlier entries
+        // are not ours to inspect (or to charge to the `filtered` tally).
+        // Stable compaction: kept envelopes slide down in arrival order.
+        let mut kept = before;
+        for i in before..out.len() {
+            if out[i].payload.downcast_ref::<FaultMarker>().is_none() {
+                out.swap(kept, i);
+                kept += 1;
+            }
+        }
+        let filtered = (out.len() - kept) as u64;
+        out.truncate(kept);
         if filtered > 0 {
             self.tallies.filtered.fetch_add(filtered, Ordering::Relaxed);
         }
-        out.len() - before
+        kept - before
     }
 
     fn register_waker(&self, place: PlaceId, waker: Waker) {
@@ -823,6 +829,44 @@ mod tests {
         assert_eq!(t.stats().total_envelopes(), 100 + dup);
         // ... but the protocol layer sees each message exactly once.
         assert_eq!(drain(&t, 1, 200, 400), (0..100).collect::<Vec<_>>());
+        assert_eq!(t.fault_counts().filtered, dup);
+    }
+
+    #[test]
+    fn filter_leaves_the_callers_earlier_entries_alone() {
+        // The caller's vector already holds a marker-carrying envelope (as
+        // if appended by an earlier drain through a different path): the
+        // filter must look only at what this call appended, so the prefix
+        // survives, the count covers only the new tail, and the tally
+        // charges only this call's markers.
+        let t = wrap(
+            2,
+            FaultPlan::new(5).all_classes(ClassFaults::duplicating(0.5)),
+        );
+        for i in 0..40u64 {
+            t.send(env(0, 1, i)).unwrap();
+        }
+        let dup = t.fault_counts().duplicated;
+        assert!(dup > 0);
+        let prefix = Envelope {
+            payload: Box::new(FaultMarker::Duplicate),
+            ..env(0, 1, 0)
+        };
+        let mut out = vec![prefix, env(0, 1, 999)];
+        let mut got = 0;
+        for _ in 0..200 {
+            got += t.try_recv_batch(PlaceId(1), 8, &mut out);
+        }
+        assert_eq!(got, 40);
+        assert_eq!(out.len(), 42);
+        assert!(out[0].payload.downcast_ref::<FaultMarker>().is_some());
+        let tags: Vec<u64> = out
+            .drain(1..)
+            .map(|e| *e.payload.downcast::<u64>().unwrap())
+            .collect();
+        let mut want = vec![999];
+        want.extend(0..40);
+        assert_eq!(tags, want, "kept envelopes stay in arrival order");
         assert_eq!(t.fault_counts().filtered, dup);
     }
 

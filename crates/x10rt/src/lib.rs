@@ -30,6 +30,8 @@
 //!   sequence executed at every place yields the same segment identifiers, so
 //!   any place can name remote memory without a handshake (§3.3, "Congruent
 //!   Memory Allocator");
+//! * [`fxhash`] — the fast hasher for the per-message maps keyed by
+//!   runtime-generated place and finish ids;
 //! * [`place`] — place identifiers and the host topology (the paper runs 32
 //!   places per Power 775 octant; `FINISH_DENSE` routes control messages via
 //!   per-host master places);
@@ -46,6 +48,7 @@ pub mod coalesce;
 pub mod codec;
 pub mod congruent;
 pub mod fault;
+pub mod fxhash;
 pub mod message;
 pub mod place;
 pub mod rdma;
@@ -60,6 +63,7 @@ pub use coalesce::{Coalescer, FlushCounts, FlushReason};
 pub use codec::{CodecMode, DecodeError, EncodeError, HandlerId, WireMsg, PROTO_VERSION};
 pub use congruent::{CongruentAllocator, CongruentArray, Pod};
 pub use fault::{ClassFaults, FaultCounts, FaultEvent, FaultPlan, FaultTransport};
+pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use message::{BatchPayload, Envelope, MsgClass, Payload, HEADER_BYTES};
 pub use place::{PlaceId, Topology};
 pub use rdma::RemoteAddr;

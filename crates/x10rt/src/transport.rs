@@ -58,6 +58,19 @@
 //! message). Spurious wakes are possible; lost wakes are not. The
 //! scheduler's park path additionally re-checks [`Transport::queue_len`]
 //! before sleeping, which makes the protocol robust even against misuse.
+//!
+//! The same flag makes an empty poll O(1). `try_recv_batch` first loads
+//! `notified` (`Acquire`) and returns nothing when it is clear, before it
+//! touches the sweep guard, the row lock or any lane's ring indices — cache
+//! lines the senders on other cores keep writing. No wake is lost by
+//! skipping the sweep: the flag is clear only after a re-arm whose re-check
+//! found every lane empty (the receiver's own swap), and every later push
+//! is followed by its sender's swap, which sets the flag *and* fires the
+//! waker, so the receiver is told to poll again. A message pushed but not
+//! yet announced (its sender is between the push and the swap) is invisible
+//! to the fast path for that window only; the announcing swap wakes the
+//! receiver. [`Transport::queue_len`] does not take the fast path: it
+//! reports what the lanes hold.
 
 use crate::message::{Envelope, MsgClass};
 use crate::place::PlaceId;
@@ -661,7 +674,9 @@ impl Transport for LocalTransport {
     fn try_recv_batch(&self, place: PlaceId, max: usize, out: &mut Vec<Envelope>) -> usize {
         let r = place.index();
         let rs = &self.recv[r];
-        if rs.closed.load(Ordering::Acquire) {
+        // Empty-poll fast path: nothing was announced since the last re-arm
+        // found every lane empty (module docs, "Waker debouncing").
+        if !rs.notified.load(Ordering::Acquire) || rs.closed.load(Ordering::Acquire) {
             return 0;
         }
         let _guard = spin_lock(&rs.sweep_guard);
@@ -825,6 +840,26 @@ mod tests {
         // ... so the next burst fires it again.
         t.send(env(0, 1, 2)).unwrap();
         assert_eq!(hits.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn empty_poll_skips_the_sweep() {
+        // With nothing announced since the last re-arm, a poll must return
+        // before it takes the sweep guard: hold the guard as a stand-in
+        // consumer and poll — the sweep path would spin on it forever.
+        let t = LocalTransport::new(2);
+        t.send(env(0, 1, 0)).unwrap();
+        assert!(recv_one(&t, PlaceId(1)).is_some());
+        assert!(recv_one(&t, PlaceId(1)).is_none()); // re-arms the debounce
+        let guard = &t.recv[1].sweep_guard;
+        guard.store(true, Ordering::Release);
+        let mut out = Vec::new();
+        assert_eq!(t.try_recv_batch(PlaceId(1), 8, &mut out), 0);
+        guard.store(false, Ordering::Release);
+        // The next send announces itself, and the poll sweeps again.
+        t.send(env(0, 1, 1)).unwrap();
+        assert_eq!(t.try_recv_batch(PlaceId(1), 8, &mut out), 1);
+        assert_eq!(tag(out.pop().unwrap()), 1);
     }
 
     #[test]

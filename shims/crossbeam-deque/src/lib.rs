@@ -4,7 +4,8 @@
 //! the slice of the `crossbeam-deque` surface it actually uses: the
 //! [`Injector`] MPMC FIFO with its [`Steal`] result type. Implemented as a
 //! mutex-protected deque — `steal` never actually reports [`Steal::Retry`],
-//! which callers already treat as "try again".
+//! which callers already treat as "try again". One method goes beyond the
+//! upstream surface: [`Injector::push_all`], a batch push under one lock.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -39,6 +40,17 @@ impl<T> Injector<T> {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push_back(task);
+    }
+
+    /// Push several tasks onto the back of the queue, in order, under one
+    /// lock acquisition. An extension of this shim, not upstream API
+    /// (upstream's injector is lock-free and pushes one task at a time):
+    /// a receiver enqueues a whole batch of arrivals with it.
+    pub fn push_all(&self, tasks: impl IntoIterator<Item = T>) {
+        self.queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .extend(tasks);
     }
 
     /// Steal the task at the front of the queue.
@@ -88,5 +100,16 @@ mod tests {
         assert_eq!(q.steal(), Steal::Success(2));
         assert_eq!(q.steal(), Steal::Empty);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn push_all_keeps_order_behind_earlier_pushes() {
+        let q = Injector::new();
+        q.push(0);
+        q.push_all(1..4);
+        assert_eq!(q.len(), 4);
+        for want in 0..4 {
+            assert_eq!(q.steal(), Steal::Success(want));
+        }
     }
 }
